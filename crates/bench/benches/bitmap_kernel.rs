@@ -1,16 +1,17 @@
-//! Microbench: vertical TID-bitmap counting vs trie matching — the two
+//! Microbench: vertical TID-bitmap counting vs hash-tree matching — the two
 //! `k ≥ 3` Phase-II strategies, head to head on the raw kernel.
 //!
 //! The bitmap side intersects one `u64` row per candidate item and
 //! popcounts the final level (with the prefix-reuse scratch exploiting the
-//! sorted candidate order); the trie side walks every transaction through
-//! the candidate trie. Two density regimes bound the crossover:
+//! sorted candidate order); the hash-tree side walks every transaction
+//! through the paper's candidate hash tree. Two density regimes bound the
+//! crossover:
 //!
 //! * **dense** — QUEST-like: small alphabet, long transactions (~25% of
 //!   the rows set), the regime the columnar layout targets;
 //! * **sparse** — T10-like: wide alphabet, short transactions (~2% set),
-//!   where most intersected words are zero and the trie's early exits
-//!   shine.
+//!   where most intersected words are zero and the hash tree's subset
+//!   checks are cheap.
 //!
 //! Also prints the [`CostModel::bitmap_build`] virtual estimate next to
 //! the measured build time, so the simulator's charge can be sanity-checked
@@ -18,7 +19,7 @@
 
 use yafim_bench::microbench::{bench, black_box, header};
 use yafim_cluster::CostModel;
-use yafim_core::{BitmapScratch, CandidateTrie, ColumnarPartition, Itemset};
+use yafim_core::{BitmapScratch, ColumnarPartition, HashTree, Itemset, MatchScratch};
 use yafim_data::rng::StdRng;
 
 /// Dense-encoded transactions: `n` sorted, deduped draws over `0..items`.
@@ -79,8 +80,8 @@ fn regime(name: &str, txs: &[Vec<u32>], items: u32, cands: &[Itemset]) {
     bench("columnar build", 20, || {
         ColumnarPartition::build(items as usize, black_box(txs))
     });
-    bench("trie build", 20, || {
-        CandidateTrie::build(black_box(cands.to_vec()))
+    bench("hash tree build", 20, || {
+        HashTree::build(black_box(cands.to_vec()))
     });
 
     header(&format!("{name}/count"));
@@ -90,12 +91,13 @@ fn regime(name: &str, txs: &[Vec<u32>], items: u32, cands: &[Itemset]) {
         let words = col.count_candidates(cands, &mut scratch, &mut |_, c| hits += c);
         black_box((words, hits))
     });
-    let trie = CandidateTrie::build(cands.to_vec());
-    bench("trie per-transaction match", 20, || {
+    let tree = HashTree::build(cands.to_vec());
+    bench("hash tree per-transaction match", 20, || {
         let mut counts = vec![0u64; cands.len()];
+        let mut scratch = MatchScratch::default();
         let mut visits = 0u64;
         for t in txs {
-            visits += trie.for_each_match(t, &mut |i| counts[i] += 1);
+            visits += tree.for_each_match(t, &mut scratch, |i| counts[i] += 1);
         }
         black_box((visits, counts))
     });

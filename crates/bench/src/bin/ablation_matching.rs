@@ -6,10 +6,10 @@
 //!    baseline: quantifies how much of YAFIM's win comes from the framework
 //!    rather than the hash tree data structure.
 //! 2. **YAFIM Phase II** — the paper-faithful hash-tree engine vs the dense
-//!    projection + triangular pass-2 counter vs trie matching vs everything
-//!    combined (projection + triangle + trie + cross-pass trimming) vs the
-//!    vertical TID-bitmap counter (projection + triangle + columnar
-//!    word-wise counting for `k ≥ 3`), on a pass-2-dominated QUEST-style
+//!    projection + triangular pass-2 counter vs that plus cross-pass
+//!    trimming (hash tree for `k ≥ 3`) vs the vertical TID-bitmap counter
+//!    (projection + triangle + columnar word-wise counting for `k ≥ 3`), on
+//!    a pass-2-dominated QUEST-style
 //!    workload (dense alphabet, low support, so
 //!    `|C_2| = |L1|·(|L1|−1)/2` dwarfs every other pass). Wall-clock
 //!    pass 2 is isolated as `median wall(max_passes=2) − median
@@ -27,7 +27,7 @@
 //!   (wall-clock numbers vary run to run; everything else is deterministic);
 //! * `BENCH_phase2.json` — machine-readable: per-pass virtual stats,
 //!   pass-2 and `k ≥ 3` wall records/sec, peak cache bytes, pass-2
-//!   speedup, bitmap-vs-trie `k ≥ 3` speedup;
+//!   speedup, bitmap-vs-hash-tree `k ≥ 3` speedup;
 //! * a [`RunManifest`] for the regression gate, captured from the
 //!   bitmap configuration's accounting run: smoke runs write
 //!   `target/manifests/phase2.smoke.manifest.json` (compared by CI
@@ -54,26 +54,23 @@ fn phase2_configs() -> Vec<(&'static str, Phase2Config)> {
     vec![
         ("hash tree (paper)", Phase2Config::paper()),
         (
-            "dense + trie",
-            Phase2Config {
-                project: true,
-                triangle_pass2: false,
-                matcher: Matcher::Trie,
-                trim: false,
-                checkpoint_interval: 0,
-            },
-        ),
-        (
             "dense + triangle p2",
             Phase2Config {
-                project: true,
                 triangle_pass2: true,
                 matcher: Matcher::HashTree,
                 trim: false,
                 checkpoint_interval: 0,
             },
         ),
-        ("triangle + trie + trim", Phase2Config::optimized()),
+        (
+            "triangle + hash tree + trim",
+            Phase2Config {
+                triangle_pass2: true,
+                matcher: Matcher::HashTree,
+                trim: true,
+                checkpoint_interval: 0,
+            },
+        ),
         ("triangle + bitmap + trim", Phase2Config::bitmap()),
     ]
 }
@@ -147,8 +144,8 @@ struct ConfigRun {
     /// every config: the raw dataset size).
     pass2_records_per_sec: f64,
     /// Isolated `k ≥ 3` matching wall seconds
-    /// (`wall(all passes) − wall(2 passes)`): the tail the trie and the
-    /// columnar bitmap compete on.
+    /// (`wall(all passes) − wall(2 passes)`): the tail the hash tree and
+    /// the columnar bitmap compete on.
     k3_seconds: f64,
     /// Transactions through the `k ≥ 3` tail per wall second (same
     /// numerator for every config, so ratios equal time ratios).
@@ -218,7 +215,7 @@ fn main() {
     // Dense alphabet + low support → |L1| ≈ items, so pass 2 counts
     // |L1|·(|L1|−1)/2 pairs and dominates the run: exactly the regime the
     // triangular counter targets. Planted QUEST patterns keep L2/L3
-    // non-empty so trie matching runs too.
+    // non-empty so the k >= 3 matchers run too.
     let (transactions, items, support_frac, samples) = if smoke {
         (800, 80u32, 0.02, 1)
     } else {
@@ -353,7 +350,8 @@ fn main() {
         r.pass2_records_per_sec = tx.len() as f64 / r.pass2_seconds;
         // The k≥3 tail carries the columnar build for the bitmap config
         // (nothing is projected before pass 3), so the comparison below
-        // charges build + counting against the trie's pure matching time.
+        // charges build + counting against the hash tree's pure matching
+        // time.
         r.k3_seconds = (r.total_wall_seconds - two).max(1e-9);
         r.k3_records_per_sec = tx.len() as f64 / r.k3_seconds;
     }
@@ -369,7 +367,7 @@ fn main() {
     );
     let _ = writeln!(
         report,
-        "{:<24} {:>12} {:>14} {:>12} {:>11} {:>14} {:>14} {:>12}",
+        "{:<28} {:>12} {:>14} {:>12} {:>11} {:>14} {:>14} {:>12}",
         "configuration",
         "pass 2 (s)",
         "p2 records/s",
@@ -383,7 +381,7 @@ fn main() {
     for r in &runs {
         let _ = writeln!(
             report,
-            "{:<24} {:>10.3} s {:>14} {:>11.2}x {:>9.3} s {:>14} {:>12} B {:>10.3} s",
+            "{:<28} {:>10.3} s {:>14} {:>11.2}x {:>9.3} s {:>14} {:>12} B {:>10.3} s",
             r.label,
             r.pass2_seconds,
             fmt_rate(r.pass2_records_per_sec),
@@ -414,13 +412,13 @@ fn main() {
             .find(|r| r.label == l)
             .expect("config label present")
     };
-    let trie_k3 = by_label("triangle + trie + trim").k3_seconds;
+    let tree_k3 = by_label("triangle + hash tree + trim").k3_seconds;
     let bitmap_k3 = by_label("triangle + bitmap + trim").k3_seconds;
     let _ = writeln!(
         report,
-        "\nk>=3 matching tail: bitmap {bitmap_k3:.3} s vs trie {trie_k3:.3} s \
+        "\nk>=3 matching tail: bitmap {bitmap_k3:.3} s vs hash tree {tree_k3:.3} s \
          ({:.2}x, columnar build included)",
-        trie_k3 / bitmap_k3
+        tree_k3 / bitmap_k3
     );
     let _ = writeln!(
         report,
@@ -434,10 +432,10 @@ fn main() {
         eprintln!("FAIL: specialized pass 2 must be at least 1.5x the hash-tree baseline");
         std::process::exit(1);
     }
-    if bitmap_k3 >= trie_k3 {
+    if bitmap_k3 >= tree_k3 {
         eprintln!(
-            "FAIL: bitmap counting must beat trie matching on the k>=3 wall clock \
-             ({bitmap_k3:.3} s vs {trie_k3:.3} s)"
+            "FAIL: bitmap counting must beat hash-tree matching on the k>=3 wall clock \
+             ({bitmap_k3:.3} s vs {tree_k3:.3} s)"
         );
         std::process::exit(1);
     }
@@ -499,8 +497,8 @@ fn main() {
         ),
         ("best_pass2_speedup", JsonValue::Number(best)),
         (
-            "bitmap_k3_speedup_vs_trie",
-            JsonValue::Number(trie_k3 / bitmap_k3),
+            "bitmap_k3_speedup_vs_hashtree",
+            JsonValue::Number(tree_k3 / bitmap_k3),
         ),
         ("parity", "ok".into()),
     ]);

@@ -10,8 +10,9 @@
 //!   byte-identical to the fault-free run, paying only extra virtual time.
 //! * **B — flaky tasks + a straggler node**: background task crashes with
 //!   bounded retries, one node degraded 3×, speculative execution on.
-//! * **C — checkpoint cadence vs lineage replay**: the optimized Phase-II
-//!   trims its working RDD every pass, so lineage grows one level per pass
+//! * **C — checkpoint cadence vs lineage replay**: a Phase-II with
+//!   triangular pass 2, hash-tree matching and cross-pass trimming trims its
+//!   working RDD every pass, so lineage grows one level per pass
 //!   and a node lost after pass k forces a ~k-level replay back to HDFS.
 //!   Checkpointing every c passes caps the replay at the blocks written at
 //!   most c passes ago, no matter how late the loss lands. The harness
@@ -42,7 +43,10 @@ use yafim_cluster::{
     critical_path, full_report, fx_hash64, ClusterSpec, EventKind, FaultPlan, IntegrityTier,
     MemoryCounters, NodeId, RecoveryCounters, RunManifest, SimCluster, SimDuration, SimInstant,
 };
-use yafim_core::{MineError, MinerRun, MrApriori, MrAprioriConfig, Support, Yafim, YafimConfig};
+use yafim_core::{
+    Matcher, MineError, MinerRun, MrApriori, MrAprioriConfig, Phase2Config, Support, Yafim,
+    YafimConfig,
+};
 use yafim_data::PaperDataset;
 use yafim_mapreduce::MrError;
 use yafim_rdd::{Context, ExecError};
@@ -188,7 +192,7 @@ fn main() {
 }
 
 /// Node-memory override for scenario E's pressure cells: small enough that
-/// the pass-2 triangle array and candidate tries overflow the per-task
+/// the pass-2 triangle array and candidate hash trees overflow the per-task
 /// slice (forcing step-downs and retry-ladder survivals), big enough that
 /// the hash-tree floor still fits a fully-backed-off retry.
 const E_TIGHT_BUDGET: u64 = 24 * 1024 * 1024;
@@ -209,7 +213,7 @@ const E_REFUSAL_BUDGET: u64 = 256 * 1024;
 fn scenario_e(seed: u64, scale: f64, smoke: bool) {
     // T10I4D100K, not the Mushroom set the other scenarios use: its ~850
     // item alphabet makes |C_2| (and so the triangle array and candidate
-    // stores) large enough to overflow a tight-but-admissible budget.
+    // hash tree) large enough to overflow a tight-but-admissible budget.
     let data = bench_dataset(PaperDataset::T10I4D100K, scale);
     let mut out = String::new();
     let _ = writeln!(
@@ -244,9 +248,8 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
         ),
     ];
     type Cfg = fn(Support) -> YafimConfig;
-    let matchers: [(&str, Cfg); 3] = [
+    let matchers: [(&str, Cfg); 2] = [
         ("YAFIM/hash-tree", YafimConfig::new),
-        ("YAFIM/trie", YafimConfig::optimized),
         ("YAFIM/bitmap", YafimConfig::bitmap),
     ];
 
@@ -277,7 +280,7 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
                 mem.oom_survived_by_degradation,
                 run.total_seconds - base.total_seconds
             );
-            if *mname == "YAFIM/trie" && *bname == "tight" {
+            if *mname == "YAFIM/hash-tree" && *bname == "tight" {
                 representative = Some((cluster, run.result.total()));
             }
         }
@@ -379,9 +382,9 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
     }
 
     // Regression-gate manifest: captured from the representative cell
-    // (YAFIM trie matcher under the tight budget — the cell that walks the
-    // most ladder rungs) plus sweep totals.
-    let (rep_cluster, rep_itemsets) = representative.expect("the trie tight cell ran");
+    // (the paper's hash-tree engine under the tight budget — spills and
+    // OOM kill-and-retry on every pass) plus sweep totals.
+    let (rep_cluster, rep_itemsets) = representative.expect("the hash-tree tight cell ran");
     let dataset_doc = JsonValue::object(vec![
         ("name", data.name.into()),
         ("scale", scale.into()),
@@ -391,7 +394,7 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
     let config_doc = JsonValue::object(vec![
         ("scenario", "E".into()),
         ("engine", "YAFIM".into()),
-        ("matcher", "trie".into()),
+        ("matcher", "hash-tree".into()),
         ("mem_budget_bytes", E_TIGHT_BUDGET.into()),
         ("oom_prob", E_OOM_PROB.into()),
         ("seed", seed.into()),
@@ -474,14 +477,14 @@ fn mine_mr_budgeted(
 fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
     let _ = writeln!(
         out,
-        "-- C: checkpoint cadence vs lineage replay (YAFIM optimized Phase-II) --"
+        "-- C: checkpoint cadence vs lineage replay (YAFIM triangle + hash tree + trim) --"
     );
     // Each arm gets its own fault-free baseline: checkpointing shifts the
     // virtual timeline, so "just after pass k" must be read off a clean run
     // with the *same* checkpoint cadence for the loss to land where the
     // lineage truncation has actually happened.
-    let (clean, clean_cluster) = mine_optimized(data, None);
-    let (clean_ckpt, clean_ckpt_cluster) = mine_optimized(
+    let (clean, clean_cluster) = mine_trimmed(data, None);
+    let (clean_ckpt, clean_ckpt_cluster) = mine_trimmed(
         data,
         Some(FaultPlan::seeded(seed).with_checkpoint_interval(CKPT_INTERVAL)),
     );
@@ -528,7 +531,7 @@ fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
                     SimInstant::EPOCH + SimDuration::from_secs(start + 1e-3),
                 )
                 .with_checkpoint_interval(interval);
-            let (run, cluster) = mine_optimized(data, Some(plan));
+            let (run, cluster) = mine_trimmed(data, Some(plan));
             assert_eq!(
                 clean.result, run.result,
                 "loss during pass {pass} (ckpt interval {interval}) changed results"
@@ -796,9 +799,10 @@ fn mine(
     (run, cluster)
 }
 
-/// Run YAFIM with the optimized Phase-II (whose per-pass trimming grows the
-/// working RDD's lineage — the interesting case for checkpointing).
-fn mine_optimized(
+/// Run YAFIM with triangular pass 2, hash-tree matching and per-pass
+/// trimming (which grows the working RDD's lineage — the interesting case
+/// for checkpointing).
+fn mine_trimmed(
     data: &yafim_bench::BenchDataset,
     plan: Option<FaultPlan>,
 ) -> (MinerRun, SimCluster) {
@@ -807,12 +811,18 @@ fn mine_optimized(
     if let Some(p) = plan {
         cluster.faults().set_plan(p);
     }
-    let run = Yafim::new(
-        Context::new(cluster.clone()),
-        YafimConfig::optimized(data.support),
-    )
-    .mine("input.dat")
-    .expect("below-budget plan must not abort");
+    let config = YafimConfig {
+        phase2: Phase2Config {
+            triangle_pass2: true,
+            matcher: Matcher::HashTree,
+            trim: true,
+            checkpoint_interval: 0,
+        },
+        ..YafimConfig::new(data.support)
+    };
+    let run = Yafim::new(Context::new(cluster.clone()), config)
+        .mine("input.dat")
+        .expect("below-budget plan must not abort");
     (run, cluster)
 }
 

@@ -854,7 +854,7 @@ pub struct MemoryCounters {
     pub spills: u64,
     /// Bytes those spills moved through local disk.
     pub spill_bytes: u64,
-    /// Pass-granularity matcher step-downs (bitmap → trie → hash-tree)
+    /// Pass-granularity matcher step-downs (bitmap → hash tree)
     /// taken because the preferred structure's footprint estimate did not
     /// fit the budget.
     pub degradations: u64,

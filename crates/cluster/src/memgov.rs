@@ -1,9 +1,9 @@
 //! Spark-style unified execution-memory governor.
 //!
 //! The storage side of a node's memory has always had a budget (the LRU
-//! cache), but execution memory — triangular pair arrays, CSR tries, bitmap
-//! arenas, shuffle combine buffers — was unbounded and unaccounted. This
-//! module splits `memory_per_node` into an **execution region** and a
+//! cache), but execution memory — triangular pair arrays, candidate hash
+//! trees, bitmap arenas, shuffle combine buffers — was unbounded and
+//! unaccounted. This module splits `memory_per_node` into an **execution region** and a
 //! **storage region** (the [`crate::jobs::SchedulerConfig::storage_fraction`]
 //! split, replacing the old hardcoded 60 %), and hands every task a
 //! deterministic [`MemoryBudget`] slice of the execution region.
@@ -21,7 +21,7 @@
 //! 1. **Spill** — degradable buffers (shuffle map-side combine) stream
 //!    through local disk in [`SPILL_GRANULE`] chunks, charged via the cost
 //!    model;
-//! 2. **Step down** — Phase-II matchers degrade bitmap → trie → hash-tree
+//! 2. **Step down** — Phase-II counters degrade bitmap → hash tree
 //!    at pass granularity when the preferred structure's footprint estimate
 //!    does not fit (`mem.degradations`);
 //! 3. **Kill + retry** — an injected-or-real OOM at a non-degradable site
@@ -57,7 +57,7 @@ pub mod site {
     pub const SHUFFLE_COMBINE: u64 = 1;
     /// Phase-2 triangular candidate-pair count array.
     pub const TRIANGLE: u64 = 2;
-    /// Candidate-store count array (hash-tree / trie passes).
+    /// Candidate hash tree plus its count array.
     pub const CANDIDATE_STORE: u64 = 3;
     /// Vertical bitmap arena (columnar partition).
     pub const BITMAP_ARENA: u64 = 4;

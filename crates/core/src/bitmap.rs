@@ -1,7 +1,7 @@
 //! Vertical TID-bitmap counting — the columnar Phase-II store.
 //!
-//! The hash tree and the trie are *horizontal*: every pass walks every
-//! cached transaction and descends a per-transaction index over `C_k`. The
+//! The hash tree is *horizontal*: every pass walks every cached
+//! transaction and descends a per-transaction index over `C_k`. The
 //! [`ColumnarPartition`] turns the layout 90°: after the dense projection,
 //! each partition is materialized **once** as one fixed-width `u64` bitset
 //! row per frequent item rank, TIDs local to the partition. Counting a
@@ -14,10 +14,10 @@
 //!
 //! * transactions are sorted and deduplicated sets, so the popcount of an
 //!   intersection of item rows *is* the support of the itemset in the
-//!   partition — the same number the store path's subset matching emits;
+//!   partition — the same number the hash tree's subset matching emits;
 //! * candidates are counted in `ap_gen`'s sorted order and reported by
-//!   index into that order, so the shuffle keys coincide with the store
-//!   path's keys exactly.
+//!   index into that order, so the shuffle keys coincide with the hash
+//!   tree's keys exactly.
 //!
 //! The sorted order also pays for itself: candidates sharing a `(k-1)`-item
 //! prefix are adjacent, so the [`BitmapScratch`] keeps the running prefix
@@ -30,7 +30,7 @@ use yafim_cluster::ByteSize;
 /// Largest total bitset arena (in `u64` words, across all partitions) the
 /// bitmap strategy will materialize — 2²⁴ words = 128 MiB, mirroring
 /// [`TRIANGLE_MAX_CELLS`](crate::encode::TRIANGLE_MAX_CELLS). Beyond this
-/// the engine falls back to the trie: counts are identical either way, only
+/// the engine falls back to the hash tree: counts are identical either way, only
 /// the constant factor moves.
 pub const BITMAP_MAX_WORDS: usize = 1 << 24;
 

@@ -5,65 +5,14 @@
 //! an infrequent `(k-1)`-subset (Apriori's key search-space reduction,
 //! Algorithm 1 line 5 / §II.A).
 
-use crate::hashtree::MatchScratch;
-use crate::types::{Item, Itemset};
+use crate::types::Itemset;
 use yafim_cluster::{ByteSize, FxHashSet};
 
-/// A broadcastable candidate index answering `subset(C_k, t)` — which
-/// candidates occur in a transaction. Implemented by the classic
-/// [`HashTree`](crate::hashtree::HashTree) (the paper-faithful reference,
-/// §IV.C) and the arena [`CandidateTrie`](crate::trie::CandidateTrie);
-/// [`YafimConfig`](crate::yafim::YafimConfig) selects which one Phase II
-/// broadcasts. Both report matches as indices into the same sorted candidate
-/// list, so the engines are byte-identical across stores.
-pub trait CandidateStore: Send + Sync {
-    /// Candidate length `k` (0 for an empty store).
-    fn k(&self) -> usize;
-
-    /// Number of candidates.
-    fn len(&self) -> usize;
-
-    /// Whether the store holds no candidates.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The candidates, in insertion (= sorted) order; match callbacks
-    /// receive indices into this slice.
-    fn candidates(&self) -> &[Itemset];
-
-    /// Consume the store, handing back the candidate list without cloning —
-    /// how the driver drains the broadcast store once per pass.
-    fn into_candidates(self: Box<Self>) -> Vec<Itemset>;
-
-    /// Invoke `f(candidate index)` once per candidate contained in the
-    /// sorted transaction `t`. Returns the node-visit/probe count (the
-    /// virtual CPU work estimate).
-    fn for_each_match_dyn(
-        &self,
-        t: &[Item],
-        scratch: &mut MatchScratch,
-        f: &mut dyn FnMut(usize),
-    ) -> u64;
-
-    /// Serialized size for broadcast accounting.
-    fn store_bytes(&self) -> u64;
-
-    /// Short label for span/report attribution (`"hash tree"`, `"trie"`).
-    fn name(&self) -> &'static str;
-}
-
-impl ByteSize for Box<dyn CandidateStore> {
-    fn byte_size(&self) -> u64 {
-        self.store_bytes()
-    }
-}
-
 /// A bare sorted candidate list, broadcastable as-is — what the vertical
-/// bitmap strategy ships instead of a [`CandidateStore`]: the columnar
-/// layout needs no per-transaction index, only the candidates themselves in
-/// `ap_gen` order (indices into this list are the shuffle keys, exactly as
-/// with the stores).
+/// bitmap strategy ships instead of a [`HashTree`](crate::hashtree::HashTree):
+/// the columnar layout needs no per-transaction index, only the candidates
+/// themselves in `ap_gen` order (indices into this list are the shuffle
+/// keys, exactly as with the tree).
 pub struct CandidateList(pub Vec<Itemset>);
 
 impl ByteSize for CandidateList {

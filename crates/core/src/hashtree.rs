@@ -112,6 +112,12 @@ impl HashTree {
         &self.candidates
     }
 
+    /// Consume the tree, handing back the candidate list without cloning —
+    /// how the driver drains the broadcast tree once per pass.
+    pub fn into_candidates(self) -> Vec<Itemset> {
+        self.candidates
+    }
+
     /// Number of candidates.
     pub fn len(&self) -> usize {
         self.candidates.len()
@@ -258,41 +264,6 @@ impl HashTree {
             .filter(|(_, c)| c.is_subset_of_sorted(t))
             .map(|(i, _)| i)
             .collect()
-    }
-}
-
-impl crate::candidates::CandidateStore for HashTree {
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    fn candidates(&self) -> &[Itemset] {
-        &self.candidates
-    }
-
-    fn into_candidates(self: Box<Self>) -> Vec<Itemset> {
-        self.candidates
-    }
-
-    fn for_each_match_dyn(
-        &self,
-        t: &[Item],
-        scratch: &mut MatchScratch,
-        f: &mut dyn FnMut(usize),
-    ) -> u64 {
-        self.for_each_match(t, scratch, f)
-    }
-
-    fn store_bytes(&self) -> u64 {
-        self.byte_size()
-    }
-
-    fn name(&self) -> &'static str {
-        "hash tree"
     }
 }
 

@@ -36,13 +36,12 @@ pub mod rules;
 pub mod sequential;
 pub mod son;
 pub mod summarize;
-pub mod trie;
 pub mod types;
 pub mod yafim;
 
 pub use audit::{audit_level, audit_levels, audit_levels_with};
 pub use bitmap::{bitmap_fits, BitmapScratch, ColumnarPartition, BITMAP_MAX_WORDS};
-pub use candidates::{ap_gen, CandidateList, CandidateStore, GenWork};
+pub use candidates::{ap_gen, CandidateList, GenWork};
 pub use eclat::eclat;
 pub use encode::{DenseEncoder, TrimMask};
 pub use fpgrowth::fp_growth;
@@ -53,6 +52,5 @@ pub use rules::{generate_rules, Rule, RuleConfig};
 pub use sequential::{apriori, brute_force, SequentialConfig};
 pub use son::{Son, SonConfig};
 pub use summarize::{closed_itemsets, maximal_itemsets};
-pub use trie::CandidateTrie;
 pub use types::{parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support};
 pub use yafim::{mine_in_memory, Matcher, MineError, Phase2Config, Yafim, YafimConfig};

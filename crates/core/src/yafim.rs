@@ -6,9 +6,9 @@
 //! `MinSup`, to obtain the frequent items `L1`.
 //!
 //! **Phase II** (Algorithm 3, Fig. 2): iteratively, on the driver, generate
-//! candidates `C_{k+1} = ap_gen(L_k)`, build a candidate store over them and
-//! *broadcast* it (§IV.C); then over the cached transactions RDD count each
-//! candidate's occurrences
+//! candidates `C_{k+1} = ap_gen(L_k)`, build a candidate hash tree over
+//! them and *broadcast* it (§IV.C); then over the cached transactions RDD
+//! count each candidate's occurrences
 //! (`flatMap(subset(C_k, t)) → map(c → (c, 1)) → reduceByKey(+)`) and keep
 //! those reaching `MinSup`.
 //!
@@ -27,28 +27,27 @@
 //!   once ([`DenseEncoder`]): drop infrequent items, remap survivors to
 //!   dense ranks `0..|L1|`, drop now-short transactions, and re-cache. The
 //!   projection is a narrow `map → filter` that fuses into pass 2's
-//!   pipeline, and the re-cache keeps §IV.B's memory property.
+//!   pipeline, and the re-cache keeps §IV.B's memory property. It runs
+//!   whenever any of the switches below is on.
 //! * **specialized pass 2** — `|C_2| = |L1|·(|L1|−1)/2` makes pass 2 the
 //!   dominant iteration; over dense ranks it needs no candidate store at
 //!   all, just a flat triangular count array indexed by item pair.
-//! * **trie matching + cross-pass trimming** — for `k ≥ 3`, an
-//!   arena-allocated prefix trie ([`CandidateTrie`]) replaces the hash
-//!   tree, and after each `L_k` a DHP-style trim drops items that occur in
-//!   no frequent `k`-itemset plus transactions too short to hold a
-//!   `(k+1)`-candidate, re-caching the shrunken RDD (and unpersisting the
-//!   one it replaces) so later passes stream monotonically less data.
+//! * **cross-pass trimming** — after each `L_k` a DHP-style trim drops
+//!   items that occur in no frequent `k`-itemset plus transactions too
+//!   short to hold a `(k+1)`-candidate, re-caching the shrunken RDD (and
+//!   unpersisting the one it replaces) so later passes stream
+//!   monotonically less data.
 //! * **vertical bitmap counting** ([`Matcher::Bitmap`]) — project each
 //!   partition once into a [`ColumnarPartition`] (one `u64` bitset row per
 //!   dense rank) and count every `k ≥ 3` candidate by word-wise AND +
 //!   popcount over its item rows, with no per-transaction store descent at
 //!   all. Guarded by [`BITMAP_MAX_WORDS`](crate::bitmap::BITMAP_MAX_WORDS);
-//!   too-large alphabets fall back to the trie.
+//!   too-large alphabets fall back to the hash tree.
 
 use crate::bitmap::{bitmap_fits, BitmapScratch, ColumnarPartition};
-use crate::candidates::{ap_gen, CandidateList, CandidateStore};
+use crate::candidates::{ap_gen, CandidateList};
 use crate::encode::{tri_index, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
 use crate::hashtree::{HashTree, MatchScratch};
-use crate::trie::CandidateTrie;
 use crate::types::{
     parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support,
     JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS, JVM_TREE_VISIT_UNITS,
@@ -57,7 +56,7 @@ use std::sync::Arc;
 use yafim_cluster::{
     memgov, ByteSize, DfsError, EventKind, RecoveryCounters, SimDuration, SPILL_GRANULE,
 };
-use yafim_rdd::{Context, ExecError, Rdd};
+use yafim_rdd::{Context, Data, ExecError, Rdd};
 
 /// Why a mining run could not complete. [`Yafim::mine`] panics on the
 /// `Exec` side (faults are exceptional for the classic entry point);
@@ -105,7 +104,7 @@ impl From<ExecError> for MineError {
 
 /// Driver-side footprint estimates for the memory-degradation ladder.
 /// Deliberately coarse: they only need to rank the counting structures
-/// (bitmap arena ≥ trie ≥ hash tree) and catch order-of-magnitude
+/// (bitmap arena vs hash tree) and catch order-of-magnitude
 /// overflows *before* a pass runs — the task-side governor still enforces
 /// the real reservations.
 fn triangle_footprint(n_dense: usize) -> u64 {
@@ -119,43 +118,36 @@ fn bitmap_footprint(n_dense: usize, lines: usize, partitions: usize) -> u64 {
     8 * n_dense as u64 * row_words
 }
 
-/// Trie arena (≤ one node per candidate item, ~16 bytes each) plus the
-/// per-task count array.
-fn trie_footprint(n_candidates: usize, k: usize) -> u64 {
-    (n_candidates * k) as u64 * 16 + 8 * n_candidates as u64
-}
-
 /// Which counting strategy Phase II uses for passes `k ≥ 3`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Matcher {
     /// The paper's candidate hash tree (Agrawal & Srikant) — the
     /// paper-faithful reference.
     HashTree,
-    /// Contiguous-arena prefix trie: merge-based descent, unique paths.
-    Trie,
     /// Vertical TID bitmaps: project each partition once into a
     /// [`ColumnarPartition`] and count candidates by word-wise AND +
     /// popcount of item rows — no broadcast store, no per-transaction
-    /// descent. Requires [`Phase2Config::project`] and an alphabet within
+    /// descent. Requires an alphabet within
     /// [`BITMAP_MAX_WORDS`](crate::bitmap::BITMAP_MAX_WORDS); otherwise the
-    /// engine counts with the trie and bumps the `bitmap.fallbacks` counter.
+    /// engine counts with the hash tree and bumps the `bitmap.fallbacks`
+    /// counter.
     Bitmap,
 }
 
 /// Phase-II hot-path switches. Every combination returns byte-identical
-/// mining results; only the cost of getting there moves.
+/// mining results; only the cost of getting there moves. Turning on any of
+/// `triangle_pass2`, `trim` or [`Matcher::Bitmap`] also re-encodes the
+/// cached transactions to dense ranks after pass 1.
 #[derive(Clone, Debug)]
 pub struct Phase2Config {
-    /// Re-encode the cached transactions to dense ranks after pass 1.
-    pub project: bool,
-    /// Count pass 2 with a triangular pair array instead of a candidate
-    /// store. Requires `project` (dense ranks bound the triangle); falls
-    /// back to the store when `|L1|` would need more than
+    /// Count pass 2 with a triangular pair array instead of `matcher`;
+    /// falls back to `matcher` when `|L1|` would need more than
     /// [`TRIANGLE_MAX_CELLS`] cells.
     pub triangle_pass2: bool,
-    /// Candidate store for passes `k ≥ 3`.
+    /// Counting strategy for passes `k ≥ 3` (and pass 2 without the
+    /// triangle).
     pub matcher: Matcher,
-    /// DHP-style cross-pass trimming of the cached RDD. Requires `project`.
+    /// DHP-style cross-pass trimming of the cached RDD.
     pub trim: bool,
     /// Checkpoint the work RDD to replicated HDFS blocks every this many
     /// completed Phase-II passes, truncating its lineage (0 = never). When
@@ -170,7 +162,6 @@ impl Phase2Config {
     /// The paper's Phase II exactly: hash tree, raw alphabet, untrimmed RDD.
     pub fn paper() -> Self {
         Phase2Config {
-            project: false,
             triangle_pass2: false,
             matcher: Matcher::HashTree,
             trim: false,
@@ -178,28 +169,25 @@ impl Phase2Config {
         }
     }
 
-    /// Everything on: dense projection, triangular pass 2, trie matching,
-    /// cross-pass trimming.
-    pub fn optimized() -> Self {
+    /// Everything on: dense projection, triangular pass 2, and `k ≥ 3`
+    /// passes counted through the vertical TID bitmaps. One DHP trim may
+    /// still run after pass 2 (it shrinks the columnar build); once the
+    /// columnar store exists further trims are skipped — the bitmap counter
+    /// never rescans transactions, so there is nothing left for them to
+    /// save.
+    pub fn bitmap() -> Self {
         Phase2Config {
-            project: true,
             triangle_pass2: true,
-            matcher: Matcher::Trie,
+            matcher: Matcher::Bitmap,
             trim: true,
             checkpoint_interval: 0,
         }
     }
 
-    /// Like [`Phase2Config::optimized`], but `k ≥ 3` passes count through
-    /// the vertical TID bitmaps instead of the trie. One DHP trim may still
-    /// run after pass 2 (it shrinks the columnar build); once the columnar
-    /// store exists further trims are skipped — the bitmap counter never
-    /// rescans transactions, so there is nothing left for them to save.
-    pub fn bitmap() -> Self {
-        Phase2Config {
-            matcher: Matcher::Bitmap,
-            ..Phase2Config::optimized()
-        }
+    /// Whether the run re-encodes the cached transactions to dense ranks:
+    /// every optimization needs them, the paper engine does not.
+    fn projects(&self) -> bool {
+        self.triangle_pass2 || self.trim || self.matcher == Matcher::Bitmap
     }
 }
 
@@ -232,16 +220,8 @@ impl YafimConfig {
         }
     }
 
-    /// Like [`YafimConfig::new`] but with every Phase-II optimization on.
-    pub fn optimized(min_support: Support) -> Self {
-        YafimConfig {
-            phase2: Phase2Config::optimized(),
-            ..YafimConfig::new(min_support)
-        }
-    }
-
-    /// Like [`YafimConfig::optimized`] but counting `k ≥ 3` passes through
-    /// the vertical TID bitmaps ([`Phase2Config::bitmap`]).
+    /// Like [`YafimConfig::new`] but with every Phase-II optimization on
+    /// ([`Phase2Config::bitmap`]).
     pub fn bitmap(min_support: Support) -> Self {
         YafimConfig {
             phase2: Phase2Config::bitmap(),
@@ -368,7 +348,7 @@ impl Yafim {
         // its successor has run, then is unpersisted — the §IV.B memory
         // property with correct cache accounting for replaced RDDs.
         let mut replaced: Option<Rdd<Vec<Item>>> = None;
-        let (work, encoder) = if p2.project {
+        let (work, encoder) = if p2.projects() {
             let encoder = Arc::new(DenseEncoder::new(
                 l1.iter().map(|(s, _)| s.items()[0]).collect(),
             ));
@@ -418,18 +398,20 @@ impl Yafim {
 
         // Bitmap density guard, decided once from driver-side metadata
         // (mirrors the pass-2 triangle guard): the columnar projection must
-        // fit BITMAP_MAX_WORDS across all partitions, and needs dense
-        // ranks to bound the row count. Otherwise the trie counts instead.
-        let n_dense_total = encoder.as_ref().map_or(0, |e| e.len());
-        let use_bitmap = p2.matcher == Matcher::Bitmap
-            && p2.project
-            && bitmap_fits(n_dense_total, file.num_lines(), partitions);
+        // fit BITMAP_MAX_WORDS across all partitions. Otherwise the hash
+        // tree counts instead.
+        let n_dense = encoder.as_ref().map_or(0, |e| e.len());
+        let use_bitmap =
+            p2.matcher == Matcher::Bitmap && bitmap_fits(n_dense, file.num_lines(), partitions);
         if p2.matcher == Matcher::Bitmap && !use_bitmap {
             ctx.cluster().registry().counter("bitmap.fallbacks").inc(1);
         }
         // The columnar store, built lazily by the first bitmap-counted pass
-        // and reused (from cache) by every later one.
+        // and reused (from cache) by every later one. Once it exists it is
+        // the only RDD later passes read, so it takes over `work`'s
+        // checkpoint cadence.
         let mut columnar: Option<Rdd<ColumnarPartition>> = None;
+        let mut columnar_checkpointed: Option<Rdd<ColumnarPartition>> = None;
 
         // Per-task budget cap, fixed for the whole run when the governor is
         // armed: the driver checks each pass's preferred counting structure
@@ -444,11 +426,8 @@ impl Yafim {
             }
             let pass_start = metrics.now();
 
-            let n_dense = encoder.as_ref().map_or(0, |e| e.len());
-            let mut use_triangle = pass == 2
-                && p2.project
-                && p2.triangle_pass2
-                && tri_len(n_dense) <= TRIANGLE_MAX_CELLS;
+            let mut use_triangle =
+                pass == 2 && p2.triangle_pass2 && tri_len(n_dense) <= TRIANGLE_MAX_CELLS;
             if use_triangle && task_limit.is_some_and(|l| triangle_footprint(n_dense) > l) {
                 self.note_degradation(pass, "triangle array -> candidate store");
                 use_triangle = false;
@@ -466,10 +445,10 @@ impl Yafim {
                     .iter()
                     .map(|(s, _)| s.clone())
                     .collect();
-                // An armed governor steps the bitmap down to the trie when
-                // its columnar arena cannot fit the per-task budget (the
-                // arena already built and cached keeps serving — only its
-                // construction is budgeted).
+                // An armed governor steps the bitmap down to the hash tree
+                // when its columnar arena cannot fit the per-task budget
+                // (the arena already built and cached keeps serving — only
+                // its construction is budgeted).
                 let bitmap_fits_budget = columnar.is_some()
                     || !task_limit.is_some_and(|l| {
                         bitmap_footprint(n_dense, file.num_lines(), partitions) > l
@@ -478,9 +457,9 @@ impl Yafim {
                     self.pass_bitmap(&work, &mut columnar, n_dense, &prev, pass, min_sup)?
                 } else {
                     if use_bitmap {
-                        self.note_degradation(pass, "bitmap arena -> trie matcher");
+                        self.note_degradation(pass, "bitmap arena -> hash tree");
                     }
-                    self.pass_with_store(&work, &prev, &p2, pass, min_sup)?
+                    self.pass_with_store(&work, &prev, pass, min_sup)?
                 };
                 match outcome {
                     Some(v) => v,
@@ -539,7 +518,7 @@ impl Yafim {
             // the bitmap counter never rescans the transactions RDD, so a
             // trim would cost a job and save nothing (pass-2's trim still
             // runs with the bitmap — it shrinks the columnar build itself).
-            if p2.trim && p2.project && columnar.is_none() {
+            if p2.trim && columnar.is_none() {
                 let mask = TrimMask::from_frequent(n_dense, &lk);
                 metrics.advance_with_event(
                     cost.cpu((lk.len() * (pass)) as u64 + n_dense as u64),
@@ -566,27 +545,21 @@ impl Yafim {
 
             // ---- Checkpoint: truncate lineage every `ckpt_every` passes --
             //
-            // The checkpoint job materializes `work` into replicated HDFS
-            // blocks and swaps in a reader whose lineage is one level deep.
-            // A node loss in a later pass then re-reads the blocks instead
-            // of replaying every projection/trim back to the input file —
-            // recovery work is bounded by the checkpoint interval.
+            // The checkpoint job materializes the RDD the next pass reads
+            // into replicated HDFS blocks and swaps in a reader whose
+            // lineage is one level deep. A node loss in a later pass then
+            // re-reads the blocks instead of replaying every projection/trim
+            // back to the input file — recovery work is bounded by the
+            // checkpoint interval. The columnar store's lineage runs through
+            // `work`, so `work`'s last checkpoint stays until run end.
             if ckpt_every != 0 {
                 passes_since_ckpt += 1;
                 if passes_since_ckpt >= ckpt_every {
                     passes_since_ckpt = 0;
-                    let cp = work.try_checkpoint()?.cache();
-                    // The checkpoint job materialized `work`; it and
-                    // whatever it superseded can release cluster memory, and
-                    // the previous checkpoint's blocks are now stale.
-                    if let Some(old) = replaced.take() {
-                        old.unpersist();
+                    match columnar.as_mut() {
+                        Some(col) => checkpoint_in_place(col, None, &mut columnar_checkpointed)?,
+                        None => checkpoint_in_place(&mut work, replaced.take(), &mut checkpointed)?,
                     }
-                    work.unpersist();
-                    if let Some(prev) = checkpointed.replace(cp.clone()) {
-                        prev.discard_checkpoint();
-                    }
-                    work = cp;
                 }
             }
 
@@ -606,6 +579,9 @@ impl Yafim {
         work.unpersist();
         transactions.unpersist();
         if let Some(cp) = checkpointed.take() {
+            cp.discard_checkpoint();
+        }
+        if let Some(cp) = columnar_checkpointed.take() {
             cp.discard_checkpoint();
         }
 
@@ -632,12 +608,6 @@ impl Yafim {
         })
     }
 
-    /// Specialized pass 2 over dense ranks: a flat triangular count array
-    /// indexed by item pair — no candidate store, no broadcast, no
-    /// per-candidate allocation. Triangle cell `tri_index(a, b)` coincides
-    /// with `ap_gen(L1)`'s candidate index for `{a, b}`, so counts (and the
-    /// reported candidate total) are identical to the store path.
-    ///
     /// Record one driver-side counting-structure step-down (ladder rung 2):
     /// bump `mem.degradations` in the registry and the run's recovery
     /// block, and log the decision as a zero-cost event.
@@ -657,11 +627,12 @@ impl Yafim {
         );
     }
 
-    /// Hard per-task memory cap when the governor is armed.
-    fn task_limit(&self) -> Option<u64> {
-        self.ctx.cluster().memory_budget().map(|b| b.per_task_limit)
-    }
-
+    /// Specialized pass 2 over dense ranks: a flat triangular count array
+    /// indexed by item pair — no candidate store, no broadcast, no
+    /// per-candidate allocation. Triangle cell `tri_index(a, b)` coincides
+    /// with `ap_gen(L1)`'s candidate index for `{a, b}`, so counts (and the
+    /// reported candidate total) are identical to the hash-tree path.
+    ///
     /// Returns `(|C2|, surviving count, L2 in rank space)`, or `None` when
     /// there are no pairs to count.
     fn pass2_triangle(
@@ -728,9 +699,9 @@ impl Yafim {
         Ok(Some((n_candidates, lk.len(), lk)))
     }
 
-    /// One Phase-II pass through a broadcast [`CandidateStore`] (hash tree
-    /// or trie, per config) — the generic path for `k ≥ 3`, and for pass 2
-    /// when the triangle is disabled or would not fit.
+    /// One Phase-II pass through the paper's broadcast [`HashTree`] — the
+    /// generic path for `k ≥ 3`, and for pass 2 when the triangle is
+    /// disabled or would not fit.
     ///
     /// Returns `(|C_k|, surviving count, L_k in work space)`, or `None`
     /// when candidate generation comes up empty.
@@ -738,7 +709,6 @@ impl Yafim {
         &self,
         work: &Rdd<Vec<Item>>,
         prev: &[Itemset],
-        p2: &Phase2Config,
         pass: usize,
         min_sup: u64,
     ) -> Result<PassOutcome, ExecError> {
@@ -759,32 +729,17 @@ impl Yafim {
         }
         let n_candidates = candidates.len();
 
-        // Driver: build the candidate store and broadcast it to the workers.
-        // Matcher::Bitmap lands here only when the density guard (or the
-        // memory governor) refused the columnar projection; the trie is its
-        // fallback store. An armed governor steps a trie whose arena would
-        // overflow the per-task budget down to the smaller hash tree.
-        let store: Box<dyn CandidateStore> = match p2.matcher {
-            Matcher::HashTree => Box::new(HashTree::build(candidates)),
-            Matcher::Trie | Matcher::Bitmap => {
-                if self
-                    .task_limit()
-                    .is_some_and(|l| trie_footprint(n_candidates, pass) > l)
-                {
-                    self.note_degradation(pass, "trie -> hash tree");
-                    Box::new(HashTree::build(candidates))
-                } else {
-                    Box::new(CandidateTrie::build(candidates))
-                }
-            }
-        };
+        // Driver: build the hash tree and broadcast it to the workers.
+        // Matcher::Bitmap lands here too when the density guard (or the
+        // memory governor) refused the columnar projection.
+        let tree = HashTree::build(candidates);
         metrics.advance_with_event(
             cost.cpu(2 * n_candidates as u64),
             EventKind::Driver,
-            format!("build {} pass {pass}", store.name()),
+            format!("build hash tree pass {pass}"),
         );
-        let bc = ctx.broadcast(store);
-        let store_for_tasks = bc.value();
+        let bc = ctx.broadcast(tree);
+        let tree_for_tasks = bc.value();
         let store_bytes = bc.bytes();
 
         // Workers: count candidate occurrences over the cached
@@ -792,10 +747,10 @@ impl Yafim {
         // Spark's reduceByKey map-side combine would), then shuffled.
         let counted: Vec<(u32, u64)> = work
             .map_partitions(move |txs, tc| {
-                // Each task reads the broadcast store (already paid for
+                // Each task reads the broadcast tree (already paid for
                 // once, virtually, at broadcast time).
                 tc.note_broadcast_read(store_bytes);
-                // The deserialized store plus the count array are this
+                // The deserialized tree plus the count array are this
                 // task's execution memory.
                 tc.try_reserve(
                     store_bytes + 8 * n_candidates as u64,
@@ -806,7 +761,7 @@ impl Yafim {
                 let mut scratch = MatchScratch::default();
                 let mut visits = 0u64;
                 for t in txs {
-                    visits += store_for_tasks.for_each_match_dyn(t, &mut scratch, &mut |idx| {
+                    visits += tree_for_tasks.for_each_match(t, &mut scratch, |idx| {
                         counts[idx] += 1;
                     });
                 }
@@ -825,35 +780,12 @@ impl Yafim {
             .filter(move |&(_, c)| c >= min_sup)
             .try_collect()?;
 
-        // Resolve surviving indices against the store exactly once per
-        // pass. The tasks have dropped their broadcast handles by now, so
-        // the driver usually holds the last reference and can drain the
-        // candidate list by value — no per-frequent-itemset clone.
-        let mut counted = counted;
-        counted.sort_unstable_by_key(|&(i, _)| i);
-        let lk: Vec<(Itemset, u64)> = match Arc::try_unwrap(bc.into_value()) {
-            Ok(store) => {
-                let mut wanted = counted.iter().copied();
-                let mut next = wanted.next();
-                let mut out = Vec::with_capacity(counted.len());
-                for (i, cand) in store.into_candidates().into_iter().enumerate() {
-                    match next {
-                        Some((idx, c)) if idx as usize == i => {
-                            out.push((cand, c));
-                            next = wanted.next();
-                        }
-                        _ => {}
-                    }
-                }
-                out
-            }
-            // Something (e.g. an in-flight recompute) still shares the
-            // store; fall back to indexing the shared slice.
-            Err(store) => counted
-                .iter()
-                .map(|&(idx, c)| (store.candidates()[idx as usize].clone(), c))
-                .collect(),
-        };
+        let lk = resolve_survivors(
+            counted,
+            bc.into_value(),
+            HashTree::into_candidates,
+            HashTree::candidates,
+        );
         Ok(Some((n_candidates, lk.len(), lk)))
     }
 
@@ -915,7 +847,7 @@ impl Yafim {
         let cost = ctx.cluster().cost().clone();
 
         // Driver: candidate generation (join + prune), charged as driver
-        // CPU — identical to the store path, so pass metadata agrees.
+        // CPU — identical to the hash-tree path, so pass metadata agrees.
         let (candidates, gen_work) = ap_gen(prev);
         metrics.advance_with_event(
             cost.cpu(gen_work.units() + candidates.len() as u64),
@@ -937,9 +869,9 @@ impl Yafim {
             }
         };
 
-        // Driver: no store to build — just assemble and broadcast the
+        // Driver: no tree to build — just assemble and broadcast the
         // sorted candidate list (indices into it are the shuffle keys,
-        // exactly as with the stores).
+        // exactly as with the hash tree).
         metrics.advance_with_event(
             cost.cpu(n_candidates as u64),
             EventKind::Driver,
@@ -979,33 +911,60 @@ impl Yafim {
             .filter(move |&(_, c)| c >= min_sup)
             .try_collect()?;
 
-        // Resolve surviving indices against the broadcast list once per
-        // pass, draining it by value when the driver holds the last
-        // reference (the mirror of the store path's drain).
-        let mut counted = counted;
-        counted.sort_unstable_by_key(|&(i, _)| i);
-        let lk: Vec<(Itemset, u64)> = match Arc::try_unwrap(bc.into_value()) {
-            Ok(list) => {
-                let mut wanted = counted.iter().copied();
-                let mut next = wanted.next();
-                let mut out = Vec::with_capacity(counted.len());
-                for (i, cand) in list.0.into_iter().enumerate() {
-                    match next {
-                        Some((idx, c)) if idx as usize == i => {
-                            out.push((cand, c));
-                            next = wanted.next();
-                        }
-                        _ => {}
-                    }
-                }
-                out
-            }
-            Err(list) => counted
-                .iter()
-                .map(|&(idx, c)| (list.0[idx as usize].clone(), c))
-                .collect(),
-        };
+        let lk = resolve_survivors(counted, bc.into_value(), |l| l.0, |l| &l.0);
         Ok(Some((n_candidates, lk.len(), lk)))
+    }
+}
+
+/// Checkpoint `rdd` to replicated HDFS blocks and swap in the cached
+/// reader. The checkpoint job materializes `rdd`, so it and whatever it
+/// `replaced` can release cluster memory; the previous checkpoint in `last`
+/// is superseded and its blocks are dropped.
+fn checkpoint_in_place<T: Data>(
+    rdd: &mut Rdd<T>,
+    replaced: Option<Rdd<T>>,
+    last: &mut Option<Rdd<T>>,
+) -> Result<(), ExecError> {
+    let cp = rdd.try_checkpoint()?.cache();
+    if let Some(old) = replaced {
+        old.unpersist();
+    }
+    rdd.unpersist();
+    if let Some(prev) = last.replace(cp.clone()) {
+        prev.discard_checkpoint();
+    }
+    *rdd = cp;
+    Ok(())
+}
+
+/// Resolve a pass's surviving `(candidate index, count)` pairs against the
+/// broadcast candidates exactly once. The tasks have dropped their
+/// broadcast handles by now, so the driver usually holds the last reference
+/// and can drain the candidate list by value — no per-frequent-itemset
+/// clone. If something (e.g. an in-flight recompute) still shares the
+/// broadcast, index the shared slice instead.
+fn resolve_survivors<B>(
+    mut counted: Vec<(u32, u64)>,
+    broadcast: Arc<B>,
+    into_candidates: impl FnOnce(B) -> Vec<Itemset>,
+    candidates: impl Fn(&B) -> &[Itemset],
+) -> Vec<(Itemset, u64)> {
+    counted.sort_unstable_by_key(|&(i, _)| i);
+    match Arc::try_unwrap(broadcast) {
+        Ok(owned) => {
+            let mut wanted = counted.iter().copied().peekable();
+            let mut out = Vec::with_capacity(counted.len());
+            for (i, cand) in into_candidates(owned).into_iter().enumerate() {
+                if let Some((_, c)) = wanted.next_if(|&(idx, _)| idx as usize == i) {
+                    out.push((cand, c));
+                }
+            }
+            out
+        }
+        Err(shared) => counted
+            .iter()
+            .map(|&(idx, c)| (candidates(&shared)[idx as usize].clone(), c))
+            .collect(),
     }
 }
 
@@ -1054,6 +1013,20 @@ mod tests {
         vec![vec![1, 3, 4], vec![2, 3, 5], vec![1, 2, 3, 5], vec![2, 5]]
     }
 
+    /// Triangular pass 2, per-pass trimming and the paper's hash tree for
+    /// `k ≥ 3`: every optimization except the bitmap kernel.
+    fn trimmed_tree(min_support: Support) -> YafimConfig {
+        YafimConfig {
+            phase2: Phase2Config {
+                triangle_pass2: true,
+                matcher: Matcher::HashTree,
+                trim: true,
+                checkpoint_interval: 0,
+            },
+            ..YafimConfig::new(min_support)
+        }
+    }
+
     #[test]
     fn matches_sequential_on_toy() {
         let run = mine_in_memory(&ctx(), &toy(), YafimConfig::new(Support::Count(2)));
@@ -1063,8 +1036,8 @@ mod tests {
     }
 
     #[test]
-    fn optimized_phase2_matches_sequential_on_toy() {
-        let run = mine_in_memory(&ctx(), &toy(), YafimConfig::optimized(Support::Count(2)));
+    fn trimmed_tree_phase2_matches_sequential_on_toy() {
+        let run = mine_in_memory(&ctx(), &toy(), trimmed_tree(Support::Count(2)));
         let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
         assert_eq!(run.result, seq);
         assert_eq!(run.result.level_sizes(), vec![4, 4, 1]);
@@ -1073,25 +1046,21 @@ mod tests {
     #[test]
     fn every_phase2_combination_agrees_on_toy() {
         let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
-        for project in [false, true] {
-            for triangle in [false, true] {
-                for matcher in [Matcher::HashTree, Matcher::Trie, Matcher::Bitmap] {
-                    for trim in [false, true] {
-                        let mut cfg = YafimConfig::new(Support::Count(2));
-                        cfg.phase2 = Phase2Config {
-                            project,
-                            triangle_pass2: triangle,
-                            matcher,
-                            trim,
-                            checkpoint_interval: 0,
-                        };
-                        let run = mine_in_memory(&ctx(), &toy(), cfg);
-                        assert_eq!(
-                            run.result, seq,
-                            "project={project} triangle={triangle} \
-                             matcher={matcher:?} trim={trim}"
-                        );
-                    }
+        for triangle in [false, true] {
+            for matcher in [Matcher::HashTree, Matcher::Bitmap] {
+                for trim in [false, true] {
+                    let mut cfg = YafimConfig::new(Support::Count(2));
+                    cfg.phase2 = Phase2Config {
+                        triangle_pass2: triangle,
+                        matcher,
+                        trim,
+                        checkpoint_interval: 0,
+                    };
+                    let run = mine_in_memory(&ctx(), &toy(), cfg);
+                    assert_eq!(
+                        run.result, seq,
+                        "triangle={triangle} matcher={matcher:?} trim={trim}"
+                    );
                 }
             }
         }
@@ -1100,17 +1069,19 @@ mod tests {
     #[test]
     fn checkpointing_is_invisible_to_results() {
         let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        type Cfg = fn(Support) -> YafimConfig;
+        let configs: [(&str, Cfg); 3] = [
+            ("paper", YafimConfig::new),
+            ("trimmed tree", trimmed_tree),
+            ("bitmap", YafimConfig::bitmap),
+        ];
         for interval in [1, 2] {
-            for optimized in [false, true] {
-                let mut cfg = if optimized {
-                    YafimConfig::optimized(Support::Count(2))
-                } else {
-                    YafimConfig::new(Support::Count(2))
-                };
+            for (name, config) in configs {
+                let mut cfg = config(Support::Count(2));
                 cfg.phase2.checkpoint_interval = interval;
                 let c = ctx();
                 let run = mine_in_memory(&c, &toy(), cfg);
-                assert_eq!(run.result, seq, "interval={interval} optimized={optimized}");
+                assert_eq!(run.result, seq, "interval={interval} {name}");
                 let rec = c.metrics().snapshot().recovery;
                 assert!(
                     rec.checkpoint_writes > 0,
@@ -1155,9 +1126,9 @@ mod tests {
     }
 
     #[test]
-    fn optimized_pass_metadata_matches_paper_engine() {
+    fn trimmed_tree_pass_metadata_matches_paper_engine() {
         let paper = mine_in_memory(&ctx(), &toy(), YafimConfig::new(Support::Count(2)));
-        let opt = mine_in_memory(&ctx(), &toy(), YafimConfig::optimized(Support::Count(2)));
+        let opt = mine_in_memory(&ctx(), &toy(), trimmed_tree(Support::Count(2)));
         assert_eq!(paper.passes.len(), opt.passes.len());
         for (p, o) in paper.passes.iter().zip(&opt.passes) {
             assert_eq!(
@@ -1185,10 +1156,10 @@ mod tests {
     }
 
     #[test]
-    fn max_passes_truncates_optimized() {
+    fn max_passes_truncates_bitmap() {
         let cfg = YafimConfig {
             max_passes: 2,
-            ..YafimConfig::optimized(Support::Count(2))
+            ..YafimConfig::bitmap(Support::Count(2))
         };
         let run = mine_in_memory(&ctx(), &toy(), cfg);
         assert_eq!(run.result.max_len(), 2);
@@ -1209,12 +1180,12 @@ mod tests {
     }
 
     #[test]
-    fn single_frequent_item_stops_cleanly_when_optimized() {
+    fn single_frequent_item_stops_cleanly_when_bitmap() {
         // |L1| = 1: the triangle has no cells and Phase II must exit
         // without running a job (and without leaking cached partitions).
         let tx = vec![vec![7], vec![7, 9], vec![7], vec![7]];
         let c = ctx();
-        let run = mine_in_memory(&c, &tx, YafimConfig::optimized(Support::Count(3)));
+        let run = mine_in_memory(&c, &tx, YafimConfig::bitmap(Support::Count(3)));
         assert_eq!(run.result.level_sizes(), vec![1]);
         assert_eq!(
             c.cache().stats().entries,
@@ -1224,9 +1195,9 @@ mod tests {
     }
 
     #[test]
-    fn optimized_run_releases_all_cache_memory() {
+    fn trimmed_tree_run_releases_all_cache_memory() {
         let c = ctx();
-        let run = mine_in_memory(&c, &toy(), YafimConfig::optimized(Support::Count(2)));
+        let run = mine_in_memory(&c, &toy(), trimmed_tree(Support::Count(2)));
         assert!(run.result.total() > 0);
         let stats = c.cache().stats();
         assert_eq!(stats.entries, 0, "projection/trim replacements unpersisted");
@@ -1265,29 +1236,62 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_without_projection_falls_back_to_the_trie() {
+    fn bitmap_arena_over_the_task_budget_steps_down_to_the_hash_tree() {
+        use yafim_cluster::FaultPlan;
+        // One partition over 8000 four-item windows of a 100-item ring: the
+        // columnar arena estimate (100 rows x 126 words) overflows a
+        // 192 KiB node's per-task slice, which still admits the job.
+        let tx: Vec<Vec<Item>> = (0..8000u32)
+            .map(|i| {
+                let mut t: Vec<Item> = (0..4).map(|j| (i + j * 17) % 100).collect();
+                t.sort_unstable();
+                t
+            })
+            .collect();
+        let support = Support::Fraction(0.005);
         let c = ctx();
-        let mut cfg = YafimConfig::bitmap(Support::Count(2));
-        cfg.phase2.project = false;
-        cfg.phase2.triangle_pass2 = false;
-        cfg.phase2.trim = false;
-        let run = mine_in_memory(&c, &toy(), cfg);
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
-        assert_eq!(run.result, seq, "fallback still byte-identical");
+        c.cluster()
+            .faults()
+            .set_plan(FaultPlan::seeded(5).with_mem_budget(192 * 1024));
+        let limit = c
+            .cluster()
+            .memory_budget()
+            .expect("governor armed")
+            .per_task_limit;
+        assert!(limit >= SPILL_GRANULE, "the job must be admitted");
+        assert!(
+            bitmap_footprint(100, tx.len(), 1) > limit,
+            "the arena estimate must overflow the per-task limit"
+        );
+        let lines = tx
+            .iter()
+            .map(|t| t.iter().map(u32::to_string).collect::<Vec<_>>().join(" "))
+            .collect();
+        c.cluster().hdfs().put_overwrite("ring.dat", lines);
+        let cfg = YafimConfig {
+            min_partitions: 1,
+            ..YafimConfig::bitmap(support)
+        };
+        let run = Yafim::new(c.clone(), cfg)
+            .try_mine("ring.dat")
+            .expect("the step-down keeps the job alive");
+        assert_eq!(run.result, apriori(&tx, &SequentialConfig::new(support)));
+        assert!(run.result.max_len() >= 3, "k >= 3 passes must run");
         let reg = c.cluster().registry();
-        assert_eq!(reg.counter("bitmap.fallbacks").get(), 1);
+        assert!(reg.counter("mem.degradations").get() >= 1);
         assert_eq!(
             reg.counter("bitmap.partitions_built").get(),
             0,
-            "no columnar store without dense ranks"
+            "the columnar store must never be built"
         );
+        assert_eq!(reg.counter("bitmap.fallbacks").get(), 0);
     }
 
     #[test]
-    fn bitmap_virtual_time_not_slower_than_trie_on_dense_data() {
+    fn bitmap_virtual_time_not_slower_than_hash_tree_on_dense_data() {
         // A dense workload with deep passes: every k >= 3 pass is pure
         // word-wise counting, which the cost model must see as cheaper
-        // than trie descent per transaction.
+        // than hash-tree descent per transaction.
         let tx: Vec<Vec<Item>> = (0..400)
             .map(|i| {
                 let mut t: Vec<Item> = (0..10).map(|j| ((i + j * 3) % 14) as u32).collect();
@@ -1296,18 +1300,18 @@ mod tests {
                 t
             })
             .collect();
-        let trie = mine_in_memory(&ctx(), &tx, YafimConfig::optimized(Support::Fraction(0.05)));
+        let tree = mine_in_memory(&ctx(), &tx, trimmed_tree(Support::Fraction(0.05)));
         let bm = mine_in_memory(&ctx(), &tx, YafimConfig::bitmap(Support::Fraction(0.05)));
-        assert_eq!(trie.result, bm.result);
+        assert_eq!(tree.result, bm.result);
         assert!(
             bm.result.max_len() >= 3,
             "workload must exercise bitmap passes"
         );
         assert!(
-            bm.total_seconds <= trie.total_seconds,
-            "bitmap {} s vs trie {} s",
+            bm.total_seconds <= tree.total_seconds,
+            "bitmap {} s vs hash tree {} s",
             bm.total_seconds,
-            trie.total_seconds
+            tree.total_seconds
         );
     }
 
@@ -1335,7 +1339,7 @@ mod tests {
     }
 
     #[test]
-    fn optimized_virtual_time_not_slower_than_paper_engine() {
+    fn trimmed_tree_virtual_time_not_slower_than_paper_engine() {
         // On a pass-2-heavy workload the dense/triangle/trim path must pay
         // off in virtual time too (the cost model sees fewer, cheaper
         // touches).
@@ -1348,7 +1352,7 @@ mod tests {
             })
             .collect();
         let paper = mine_in_memory(&ctx(), &tx, YafimConfig::new(Support::Fraction(0.02)));
-        let opt = mine_in_memory(&ctx(), &tx, YafimConfig::optimized(Support::Fraction(0.02)));
+        let opt = mine_in_memory(&ctx(), &tx, trimmed_tree(Support::Fraction(0.02)));
         assert_eq!(paper.result, opt.result);
         assert!(
             opt.total_seconds <= paper.total_seconds,

@@ -191,7 +191,7 @@ fn transient_chaos_runs_are_reproducible() {
                 .flaky_hdfs(0.3)
                 .with_checkpoint_interval(2),
         );
-        let run = Yafim::new(Context::new(c.clone()), YafimConfig::optimized(support))
+        let run = Yafim::new(Context::new(c.clone()), YafimConfig::bitmap(support))
             .mine("d.dat")
             .expect("transients never abort");
         reports.push((

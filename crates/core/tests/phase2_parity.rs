@@ -1,5 +1,5 @@
-//! Phase-II hot-path invariance: every combination of the dense-projection,
-//! triangular-pass-2, trie-matching and cross-pass-trimming switches must
+//! Phase-II hot-path invariance: every combination of the triangular-pass-2,
+//! matcher (hash tree or bitmap) and cross-pass-trimming switches must
 //! produce *byte-identical* mining output to both the sequential reference
 //! and the paper-faithful (hash tree, untrimmed) engine — identical itemsets
 //! and supports, identical per-level sizes, identical candidate/frequent
@@ -38,27 +38,33 @@ fn run(tx: &[Vec<u32>], support: Support, phase2: Phase2Config) -> MinerRun {
         .expect("written")
 }
 
-/// All 24 switch combinations (several are redundant — triangle/trim/bitmap
-/// without projection fall back to the store path — but redundant
-/// configurations must *still* agree).
+/// All 8 switch combinations.
 fn all_configs() -> Vec<Phase2Config> {
     let mut out = Vec::new();
-    for project in [false, true] {
-        for triangle_pass2 in [false, true] {
-            for matcher in [Matcher::HashTree, Matcher::Trie, Matcher::Bitmap] {
-                for trim in [false, true] {
-                    out.push(Phase2Config {
-                        project,
-                        triangle_pass2,
-                        matcher,
-                        trim,
-                        checkpoint_interval: 0,
-                    });
-                }
+    for triangle_pass2 in [false, true] {
+        for matcher in [Matcher::HashTree, Matcher::Bitmap] {
+            for trim in [false, true] {
+                out.push(Phase2Config {
+                    triangle_pass2,
+                    matcher,
+                    trim,
+                    checkpoint_interval: 0,
+                });
             }
         }
     }
     out
+}
+
+/// Triangular pass 2, per-pass trimming and the paper's hash tree for
+/// `k ≥ 3` — the config whose lineage grows by a trim every pass.
+fn trimmed_tree() -> Phase2Config {
+    Phase2Config {
+        triangle_pass2: true,
+        matcher: Matcher::HashTree,
+        trim: true,
+        checkpoint_interval: 0,
+    }
 }
 
 fn assert_identical(paper: &MinerRun, other: &MinerRun, label: &str) {
@@ -89,7 +95,8 @@ fn assert_identical(paper: &MinerRun, other: &MinerRun, label: &str) {
 #[test]
 fn every_phase2_config_is_invisible_on_quest_data() {
     // Small dense QUEST-style instances with long patterns → 4-5 passes,
-    // exercising triangle (pass 2), trie (k ≥ 3) and repeated trimming.
+    // exercising triangle (pass 2), both k ≥ 3 matchers and repeated
+    // trimming.
     for seed in [7u64, 99, 4242] {
         let tx = QuestGenerator::new(QuestConfig {
             transactions: 400,
@@ -136,7 +143,7 @@ fn every_phase2_config_is_invisible_on_medical_data() {
 }
 
 #[test]
-fn optimized_path_survives_node_loss() {
+fn trimmed_tree_path_survives_node_loss() {
     // Losing a node drops its cached partitions — including the projected
     // and trimmed RDDs, which must then recompute through their narrow
     // lineage (raw HDFS read → parse → encode → trims) without changing a
@@ -159,12 +166,16 @@ fn optimized_path_survives_node_loss() {
                 .slow_node(NodeId(((seed + 2) % 4) as u32), 3.0)
                 .with_speculation(),
         );
-        let opt = Yafim::new(Context::new(c.clone()), YafimConfig::optimized(support))
+        let cfg = YafimConfig {
+            phase2: trimmed_tree(),
+            ..YafimConfig::new(support)
+        };
+        let opt = Yafim::new(Context::new(c.clone()), cfg)
             .mine("d.dat")
             .expect("below-budget faults must not abort the job");
         assert_eq!(
             reference, opt.result,
-            "seed {seed}: node loss changed optimized-path results"
+            "seed {seed}: node loss changed trimmed-path results"
         );
         let rec = c.metrics().snapshot().recovery;
         assert!(rec.any(), "seed {seed}: the plan must actually fire");
@@ -175,8 +186,8 @@ fn optimized_path_survives_node_loss() {
 #[test]
 fn node_loss_at_every_pass_boundary_is_invisible() {
     // Kill a node just after each pass boundary, on both engines, with
-    // checkpointing off and on (interval 2, supplied through the fault
-    // plan). Whatever the recovery path — lineage replay back to HDFS or a
+    // checkpointing off and on (intervals 1 and 2, supplied through the
+    // fault plan). Whatever the recovery path — lineage replay back to HDFS or a
     // bounded re-read of checkpoint blocks — itemsets and supports must be
     // byte-identical to the sequential reference every time.
     let tx = PaperDataset::Medical.generate_scaled(0.01);
@@ -185,7 +196,7 @@ fn node_loss_at_every_pass_boundary_is_invisible() {
 
     for (name, p2) in [
         ("paper", Phase2Config::paper()),
-        ("optimized", Phase2Config::optimized()),
+        ("trimmed tree", trimmed_tree()),
         ("bitmap", Phase2Config::bitmap()),
     ] {
         // A clean run maps pass number → cumulative virtual seconds, so
@@ -203,7 +214,7 @@ fn node_loss_at_every_pass_boundary_is_invisible() {
             .collect();
 
         for (k, &boundary) in boundaries.iter().enumerate() {
-            for ckpt in [0usize, 2] {
+            for ckpt in [0usize, 1, 2] {
                 let c = cluster();
                 c.hdfs().put_overwrite("d.dat", to_lines(&tx));
                 c.faults().set_plan(
@@ -258,7 +269,7 @@ fn silent_corruption_is_invisible_to_every_engine() {
     ];
     for (name, p2) in [
         ("paper", Phase2Config::paper()),
-        ("optimized", Phase2Config::optimized()),
+        ("trimmed tree", trimmed_tree()),
         ("bitmap", Phase2Config::bitmap()),
     ] {
         for (tier, corrupt) in &tiers {
@@ -294,7 +305,7 @@ fn silent_corruption_is_invisible_to_every_engine() {
 }
 
 #[test]
-fn optimized_path_is_deterministic_under_faults() {
+fn bitmap_path_is_deterministic_under_faults() {
     let tx = PaperDataset::Medical.generate_scaled(0.01);
     let support = Support::Fraction(0.05);
     let mut observed = Vec::new();
@@ -307,7 +318,7 @@ fn optimized_path_is_deterministic_under_faults() {
                 .with_max_task_failures(10)
                 .with_speculation(),
         );
-        let run = Yafim::new(Context::new(c.clone()), YafimConfig::optimized(support))
+        let run = Yafim::new(Context::new(c.clone()), YafimConfig::bitmap(support))
             .mine("d.dat")
             .expect("below budget");
         observed.push((
@@ -318,6 +329,6 @@ fn optimized_path_is_deterministic_under_faults() {
     }
     assert_eq!(
         observed[0], observed[1],
-        "same fault seed must reproduce the optimized run bit-for-bit"
+        "same fault seed must reproduce the bitmap run bit-for-bit"
     );
 }

@@ -31,7 +31,7 @@ fn usage() -> ! {
         "usage:
   yafim-cli generate --dataset <mushroom|t10|chess|pumsb|medical> --out <file.dat> [--scale X]
   yafim-cli mine     --input <file.dat> --support <N|P%> [--miner <sequential|eclat|fpgrowth|spark|mapreduce|son|pfp>]
-                     [--phase2 <paper|opt|bitmap>] [--nodes N] [--cores C] [--locality-wait SECS]
+                     [--phase2 <paper|bitmap>] [--nodes N] [--cores C] [--locality-wait SECS]
                      [--memory-fraction FRAC]
                      [--rules MIN_CONF] [--top K]
                      [--fault-plan plan.json] [--timeline] [--report] [--trace out.json]
@@ -161,19 +161,18 @@ fn cmd_generate() {
     );
 }
 
-/// `--phase2 <paper|opt|bitmap>` — the Spark miner's Phase-II hot path:
-/// `paper` (default) is the paper-faithful hash-tree engine, `opt` enables
-/// dense re-encoding, the triangular pass-2 counter, trie matching and
-/// cross-pass trimming, and `bitmap` swaps the `k ≥ 3` trie for vertical
-/// TID-bitmap counting (word-wise AND + popcount over a columnar store).
-/// Results are identical; only the virtual timings move.
+/// `--phase2 <paper|bitmap>` — the Spark miner's Phase-II hot path:
+/// `paper` (default) is the paper-faithful hash-tree engine, and `bitmap`
+/// enables dense re-encoding, the triangular pass-2 counter, cross-pass
+/// trimming and vertical TID-bitmap counting for `k ≥ 3` (word-wise AND +
+/// popcount over a columnar store). Results are identical; only the
+/// virtual timings move.
 fn yafim_config(support: Support) -> YafimConfig {
     match arg("--phase2").as_deref() {
         None | Some("paper") => YafimConfig::new(support),
-        Some("opt") => YafimConfig::optimized(support),
         Some("bitmap") => YafimConfig::bitmap(support),
         Some(other) => {
-            eprintln!("unknown --phase2 mode `{other}`: expected paper, opt or bitmap");
+            eprintln!("unknown --phase2 mode `{other}`: expected paper or bitmap");
             exit(1)
         }
     }
