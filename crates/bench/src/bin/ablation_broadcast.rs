@@ -33,7 +33,7 @@ fn main() {
             cfg.broadcast = mode;
             let ctx = Context::with_config(cluster, cfg);
             let run = Yafim::new(ctx, YafimConfig::new(data.support))
-                .mine("input.dat")
+                .try_mine("input.dat")
                 .expect("dataset written");
             totals.push(run.total_seconds);
         }

@@ -49,7 +49,7 @@ fn main() {
         cfg.cache_capacity_per_node = capacity;
         let ctx = Context::with_config(cluster.clone(), cfg);
         let run = Yafim::new(ctx.clone(), YafimConfig::new(data.support))
-            .mine("input.dat")
+            .try_mine("input.dat")
             .expect("dataset written");
         let cache = ctx.cache().stats();
         let disk = cluster.metrics().snapshot().work.disk_read_bytes;

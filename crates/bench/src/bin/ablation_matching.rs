@@ -106,7 +106,7 @@ fn accounting_run(
             ..YafimConfig::new(support)
         },
     )
-    .mine("q.dat")
+    .try_mine("q.dat")
     .expect("dataset written");
     (run, ctx.cache().stats().peak_bytes, c)
 }
@@ -126,7 +126,7 @@ fn wall_seconds(
             c.hdfs().put_overwrite("q.dat", lines.to_vec());
             let m = miner(&c, support, phase2.clone(), max_passes);
             let t0 = Instant::now();
-            std::hint::black_box(m.mine("q.dat").expect("dataset written"));
+            std::hint::black_box(m.try_mine("q.dat").expect("dataset written"));
             t0.elapsed().as_secs_f64()
         })
         .collect();

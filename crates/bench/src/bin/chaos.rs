@@ -44,11 +44,9 @@ use yafim_cluster::{
     MemoryCounters, NodeId, RecoveryCounters, RunManifest, SimCluster, SimDuration, SimInstant,
 };
 use yafim_core::{
-    Matcher, MineError, MinerRun, MrApriori, MrAprioriConfig, Phase2Config, Support, Yafim,
-    YafimConfig,
+    Matcher, MinerRun, MrApriori, MrAprioriConfig, Phase2Config, Support, Yafim, YafimConfig,
 };
 use yafim_data::PaperDataset;
-use yafim_mapreduce::MrError;
 use yafim_rdd::{Context, ExecError};
 
 /// Scenario C checkpoints the working RDD every this many Phase-II passes.
@@ -339,30 +337,23 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
     // admission control must refuse the job with a typed error on both
     // engines — never return a partial result.
     let starved = FaultPlan::seeded(seed).with_mem_budget(E_REFUSAL_BUDGET);
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
-    cluster.faults().set_plan(starved.clone());
-    match Yafim::new(
-        Context::new(cluster.clone()),
-        YafimConfig::new(data.support),
-    )
-    .try_mine("input.dat")
-    {
-        Err(MineError::Exec(ExecError::MemoryRefused { refusal })) => {
-            let _ = writeln!(out, "\nstarved (YAFIM): {refusal}");
+    let _ = writeln!(out);
+    for engine in ["YAFIM", "MR"] {
+        let cluster = experiment_cluster(ClusterSpec::paper());
+        load_dataset(&cluster, "input.dat", &data.transactions);
+        cluster.faults().set_plan(starved.clone());
+        let outcome = match engine {
+            "YAFIM" => Yafim::new(Context::new(cluster), YafimConfig::new(data.support))
+                .try_mine("input.dat"),
+            _ => MrApriori::new(cluster, MrAprioriConfig::new(data.support)).mine("input.dat"),
+        };
+        match outcome {
+            Err(ExecError::MemoryRefused { refusal }) => {
+                let _ = writeln!(out, "starved ({engine}): {refusal}");
+            }
+            Err(e) => panic!("expected a memory refusal, got: {e}"),
+            Ok(_) => panic!("a {E_REFUSAL_BUDGET}-byte node must be refused at admission"),
         }
-        Err(e) => panic!("expected a memory refusal, got: {e}"),
-        Ok(_) => panic!("a {E_REFUSAL_BUDGET}-byte node must be refused at admission"),
-    }
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
-    cluster.faults().set_plan(starved);
-    match MrApriori::new(cluster.clone(), MrAprioriConfig::new(data.support)).mine("input.dat") {
-        Err(MrError::MemoryRefused { refusal }) => {
-            let _ = writeln!(out, "starved (MR): {refusal}");
-        }
-        Err(e) => panic!("expected a memory refusal, got: {e}"),
-        Ok(_) => panic!("a {E_REFUSAL_BUDGET}-byte node must be refused at admission"),
     }
     let _ = writeln!(
         out,
@@ -434,9 +425,9 @@ fn cell_counters(cluster: &SimCluster, label: &str) -> MemoryCounters {
     mem
 }
 
-/// Run YAFIM through the typed path ([`Yafim::try_mine`]) — budgeted cells
-/// must complete via the degradation ladder, so any typed failure here is
-/// a harness bug worth a loud panic.
+/// Run YAFIM under an optional plan — budgeted cells must complete via the
+/// degradation ladder, so any typed failure here is a harness bug worth a
+/// loud panic.
 fn mine_yafim_budgeted(
     data: &yafim_bench::BenchDataset,
     config: YafimConfig,
@@ -790,7 +781,7 @@ fn mine(
             Context::new(cluster.clone()),
             YafimConfig::new(data.support),
         )
-        .mine("input.dat")
+        .try_mine("input.dat")
         .expect("below-budget plan must not abort"),
         _ => MrApriori::new(cluster.clone(), MrAprioriConfig::new(data.support))
             .mine("input.dat")
@@ -821,7 +812,7 @@ fn mine_trimmed(
         ..YafimConfig::new(data.support)
     };
     let run = Yafim::new(Context::new(cluster.clone()), config)
-        .mine("input.dat")
+        .try_mine("input.dat")
         .expect("below-budget plan must not abort");
     (run, cluster)
 }

@@ -148,7 +148,7 @@ fn run_job(
     let grant = ticket.grant();
     c.attach_job(&ticket);
     let run = Yafim::new(Context::new(c.clone()), mining_config(def.pool))
-        .mine("input.dat")
+        .try_mine("input.dat")
         .expect("input.dat was just written");
     let report = critical_path(c.metrics(), c.cost());
     JobOutcome {
@@ -291,7 +291,7 @@ fn main() {
         let c = cluster_for(sweep[0]);
         c.hdfs().put_overwrite("input.dat", lines.clone());
         Yafim::new(Context::new(c), mining_config("default"))
-            .mine("input.dat")
+            .try_mine("input.dat")
             .expect("input.dat was just written")
             .result
     };
@@ -443,7 +443,7 @@ fn main() {
         c.hdfs().put_overwrite("input.dat", lines.clone());
         c.attach_job(&ticket);
         let run = Yafim::new(Context::new(c.clone()), mining_config("interactive"))
-            .mine("input.dat")
+            .try_mine("input.dat")
             .expect("input.dat was just written");
         assert_eq!(run.result, solo);
         RunManifest::capture("concurrency", "yafim", dataset_doc, config_doc, &c)

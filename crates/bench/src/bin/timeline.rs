@@ -40,7 +40,7 @@ fn main() {
         Context::new(cluster.clone()),
         YafimConfig::new(data.support),
     )
-    .mine("input.dat")
+    .try_mine("input.dat")
     .expect("dataset written");
 
     println!(

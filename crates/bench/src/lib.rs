@@ -45,7 +45,7 @@ pub fn run_yafim_profiled(
     load_dataset(&cluster, "input.dat", transactions);
     let ctx = Context::new(cluster.clone());
     let run = Yafim::new(ctx, YafimConfig::new(support))
-        .mine("input.dat")
+        .try_mine("input.dat")
         .expect("input.dat was just written");
     (run, cluster)
 }

@@ -53,4 +53,4 @@ pub use sequential::{apriori, brute_force, SequentialConfig};
 pub use son::{Son, SonConfig};
 pub use summarize::{closed_itemsets, maximal_itemsets};
 pub use types::{parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support};
-pub use yafim::{mine_in_memory, Matcher, MineError, Phase2Config, Yafim, YafimConfig};
+pub use yafim::{mine_in_memory, Matcher, Phase2Config, Yafim, YafimConfig};

@@ -31,8 +31,8 @@ use crate::types::{
     JVM_TREE_VISIT_UNITS,
 };
 use std::sync::Arc;
-use yafim_cluster::{slice_bytes, EventKind, FxHashSet, SimCluster};
-use yafim_mapreduce::{Emitter, MapReduceJob, MrError, MrRunner};
+use yafim_cluster::{slice_bytes, EventKind, ExecError, FxHashSet, SimCluster};
+use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
 /// Abstract CPU units per naive candidate subset-check (a short merge scan
 /// over two sorted lists in the Java baseline).
@@ -185,7 +185,7 @@ impl MrApriori {
     }
 
     /// Mine the text dataset at `input` on simulated HDFS.
-    pub fn mine(&self, input: &str) -> Result<MinerRun, MrError> {
+    pub fn mine(&self, input: &str) -> Result<MinerRun, ExecError> {
         let cluster = self.runner.cluster().clone();
         // Attribute the whole run to its scheduler pool; the guard reports
         // completion to any bound JobQueue ticket when dropped.

@@ -26,7 +26,7 @@ use crate::types::{
     parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support,
     JVM_TREE_VISIT_UNITS,
 };
-use yafim_cluster::{DfsError, EventKind, FxHashMap};
+use yafim_cluster::{EventKind, ExecError, FxHashMap};
 use yafim_rdd::{Context, Rdd};
 
 /// Options for a PFP run.
@@ -65,7 +65,7 @@ impl Pfp {
     }
 
     /// Mine the text dataset at `input` on simulated HDFS.
-    pub fn mine(&self, input: &str) -> Result<MinerRun, DfsError> {
+    pub fn mine(&self, input: &str) -> Result<MinerRun, ExecError> {
         let ctx = &self.ctx;
         let metrics = ctx.metrics().clone();
         let partitions = if self.config.min_partitions == 0 {
@@ -89,7 +89,7 @@ impl Pfp {
             .map(|i| (i, 1u64))
             .reduce_by_key(|a, b| a + b)
             .filter(move |&(_, c)| c >= min_sup)
-            .collect();
+            .try_collect()?;
         counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let ranking: Vec<(Item, u32)> = counts
             .iter()
@@ -170,7 +170,7 @@ impl Pfp {
                 out
             });
 
-        let all = mined.collect();
+        let all = mined.try_collect()?;
         transactions.unpersist();
 
         let max_len = all.iter().map(|(s, _)| s.len()).max().unwrap_or(0);

@@ -25,8 +25,8 @@ use crate::types::{
     parse_transaction, Itemset, MinerRun, MiningResult, PassTiming, Support, JVM_TREE_VISIT_UNITS,
 };
 use std::sync::Arc;
-use yafim_cluster::{slice_bytes, EventKind, SimCluster};
-use yafim_mapreduce::{Emitter, MapReduceJob, MrError, MrRunner};
+use yafim_cluster::{slice_bytes, EventKind, ExecError, SimCluster};
+use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
 /// Options for a SON run.
 #[derive(Clone, Debug)]
@@ -68,7 +68,7 @@ impl Son {
     }
 
     /// Mine the text dataset at `input` on simulated HDFS (two jobs total).
-    pub fn mine(&self, input: &str) -> Result<MinerRun, MrError> {
+    pub fn mine(&self, input: &str) -> Result<MinerRun, ExecError> {
         let cluster = self.runner.cluster().clone();
         let metrics = cluster.metrics().clone();
         let file = cluster.hdfs().get(input)?;

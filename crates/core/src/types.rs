@@ -143,18 +143,7 @@ impl FromIterator<Item> for Itemset {
     }
 }
 
-/// Parse one whitespace-separated transaction line (the `.dat` format used
-/// by the FIMI / UCI repositories) into a sorted, deduplicated item vector.
-/// Unparseable tokens are skipped.
-pub fn parse_transaction(line: &str) -> Vec<Item> {
-    let mut items: Vec<Item> = line
-        .split_whitespace()
-        .filter_map(|t| t.parse().ok())
-        .collect();
-    items.sort_unstable();
-    items.dedup();
-    items
-}
+pub use yafim_data::parse_transaction;
 
 /// A minimum-support threshold, absolute or relative.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -343,14 +332,6 @@ mod tests {
     fn display_format() {
         assert_eq!(Itemset::new(vec![3, 1]).to_string(), "{1 3}");
         assert_eq!(Itemset::new(vec![]).to_string(), "{}");
-    }
-
-    #[test]
-    fn parse_transaction_handles_noise() {
-        assert_eq!(parse_transaction("5 3 3 1"), vec![1, 3, 5]);
-        assert_eq!(parse_transaction("  7  "), vec![7]);
-        assert_eq!(parse_transaction(""), Vec::<Item>::new());
-        assert_eq!(parse_transaction("2 x 4"), vec![2, 4]);
     }
 
     #[test]

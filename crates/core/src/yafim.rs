@@ -54,53 +54,9 @@ use crate::types::{
 };
 use std::sync::Arc;
 use yafim_cluster::{
-    memgov, ByteSize, DfsError, EventKind, RecoveryCounters, SimDuration, SPILL_GRANULE,
+    memgov, ByteSize, EventKind, ExecError, RecoveryCounters, SimDuration, SPILL_GRANULE,
 };
-use yafim_rdd::{Context, Data, ExecError, Rdd};
-
-/// Why a mining run could not complete. [`Yafim::mine`] panics on the
-/// `Exec` side (faults are exceptional for the classic entry point);
-/// [`Yafim::try_mine`] surfaces both as typed errors so chaos harnesses
-/// and callers with fault plans can match on them.
-#[derive(Debug)]
-pub enum MineError {
-    /// The input path is missing from simulated HDFS.
-    Dfs(DfsError),
-    /// The engine failed under the active fault plan: a stage aborted, a
-    /// corruption proved unrepairable, a task exhausted its OOM retry
-    /// ladder, or admission control refused the job's memory footprint.
-    Exec(ExecError),
-}
-
-impl std::fmt::Display for MineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MineError::Dfs(e) => write!(f, "{e}"),
-            MineError::Exec(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for MineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MineError::Dfs(e) => Some(e),
-            MineError::Exec(e) => Some(e),
-        }
-    }
-}
-
-impl From<DfsError> for MineError {
-    fn from(e: DfsError) -> Self {
-        MineError::Dfs(e)
-    }
-}
-
-impl From<ExecError> for MineError {
-    fn from(e: ExecError) -> Self {
-        MineError::Exec(e)
-    }
-}
+use yafim_rdd::{Context, Data, Rdd};
 
 /// Driver-side footprint estimates for the memory-degradation ladder.
 /// Deliberately coarse: they only need to rank the counting structures
@@ -248,24 +204,13 @@ impl Yafim {
         Yafim { ctx, config }
     }
 
-    /// Mine the text dataset at `input` (one whitespace-separated
-    /// transaction per line) on simulated HDFS. Panics if the engine fails
-    /// under an active fault plan (stage abort, unrepairable corruption,
-    /// out-of-memory); use [`Yafim::try_mine`] to receive those as typed
-    /// errors instead.
-    pub fn mine(&self, input: &str) -> Result<MinerRun, DfsError> {
-        match self.try_mine(input) {
-            Ok(run) => Ok(run),
-            Err(MineError::Dfs(e)) => Err(e),
-            Err(MineError::Exec(e)) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`Yafim::mine`], but engine failures under an active fault plan
-    /// surface as [`MineError::Exec`] instead of panics — including the
-    /// memory governor's typed refusal when the job's smallest viable
-    /// footprint cannot fit the execution budget.
-    pub fn try_mine(&self, input: &str) -> Result<MinerRun, MineError> {
+    /// Mine the text dataset at `input` (one transaction per line, see
+    /// [`parse_transaction`]) on simulated HDFS. Engine failures under an
+    /// active fault plan come back typed: a stage abort, an unrepairable
+    /// corruption or failed invariant audit, an out-of-memory kill, or the
+    /// memory governor's refusal when the job's smallest viable footprint
+    /// cannot fit the execution budget.
+    pub fn try_mine(&self, input: &str) -> Result<MinerRun, ExecError> {
         let ctx = &self.ctx;
         // Attribute the whole run to its scheduler pool; the guard reports
         // completion to any bound JobQueue ticket when dropped.
@@ -293,7 +238,7 @@ impl Yafim {
         // or silently-partial result.
         if let Some(budget) = ctx.cluster().memory_budget() {
             if let Err(refusal) = budget.admit(SPILL_GRANULE) {
-                return Err(MineError::Exec(ExecError::MemoryRefused { refusal }));
+                return Err(ExecError::MemoryRefused { refusal });
             }
         }
 
@@ -494,7 +439,9 @@ impl Yafim {
                 &lk,
                 n_candidates,
             ) {
-                panic!("mining-invariant audit failed after pass {pass}: {violation}");
+                return Err(ExecError::IntegrityFailure {
+                    detail: format!("mining-invariant audit failed after pass {pass}: {violation}"),
+                });
             }
 
             metrics.record_span(EventKind::Iteration, format!("pass {pass}"), pass_start);
@@ -970,25 +917,20 @@ fn resolve_survivors<B>(
 
 /// Convenience: one-call YAFIM over an in-memory transaction list, writing
 /// it to the cluster's HDFS first (used by tests and examples).
-pub fn mine_in_memory(ctx: &Context, transactions: &[Vec<Item>], config: YafimConfig) -> MinerRun {
-    let lines: Vec<String> = transactions
-        .iter()
-        .map(|t| t.iter().map(u32::to_string).collect::<Vec<_>>().join(" "))
-        .collect();
+pub fn mine_in_memory(
+    ctx: &Context,
+    transactions: &[Vec<Item>],
+    config: YafimConfig,
+) -> Result<MinerRun, ExecError> {
     let path = format!("yafim-inmem-{}.dat", std::process::id());
-    ctx.cluster().hdfs().put_overwrite(&path, lines);
-    let hdfs_write_cost = ctx.cluster().cost().hdfs_write(
-        ctx.cluster()
-            .hdfs()
-            .get(&path)
-            .expect("file just written")
-            .bytes(),
-    );
+    let file = ctx
+        .cluster()
+        .hdfs()
+        .put_overwrite(&path, yafim_data::to_lines(transactions));
+    let hdfs_write_cost = ctx.cluster().cost().hdfs_write(file.bytes());
     ctx.metrics()
         .advance_with_event(hdfs_write_cost, EventKind::HdfsWrite, path.clone());
-    let run = Yafim::new(ctx.clone(), config)
-        .mine(&path)
-        .expect("file exists");
+    let run = Yafim::new(ctx.clone(), config).try_mine(&path);
     let _ = ctx.cluster().hdfs().delete(&path);
     // Dropping the input is instantaneous metadata work.
     ctx.metrics().advance(SimDuration::ZERO);
@@ -1011,6 +953,11 @@ mod tests {
 
     fn toy() -> Vec<Vec<Item>> {
         vec![vec![1, 3, 4], vec![2, 3, 5], vec![1, 2, 3, 5], vec![2, 5]]
+    }
+
+    /// [`super::mine_in_memory`] for runs that must complete.
+    fn mine_in_memory(ctx: &Context, tx: &[Vec<Item>], config: YafimConfig) -> MinerRun {
+        super::mine_in_memory(ctx, tx, config).expect("run completes")
     }
 
     /// Triangular pass 2, per-pass trimming and the paper's hash tree for
@@ -1176,7 +1123,10 @@ mod tests {
     fn missing_input_errors() {
         let c = ctx();
         let miner = Yafim::new(c, YafimConfig::new(Support::Count(1)));
-        assert!(miner.mine("no-such-file.dat").is_err());
+        assert!(matches!(
+            miner.try_mine("no-such-file.dat"),
+            Err(ExecError::Dfs(_))
+        ));
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! plan. Any seeded plan whose failures stay below the retry budget yields
 //! byte-identical results to the fault-free run on both engines — recovery
 //! only ever adds virtual time. Exhausting the budget aborts with a
-//! descriptive error instead of returning wrong results.
+//! descriptive typed error on every distributed engine instead of
+//! returning wrong results.
 
 use yafim_cluster::{
     ClusterSpec, CostModel, FaultPlan, NodeId, SimCluster, SimDuration, SimInstant,
 };
 use yafim_core::{
-    apriori, MrApriori, MrAprioriConfig, SequentialConfig, Support, Yafim, YafimConfig,
+    apriori, MrApriori, MrAprioriConfig, Pfp, PfpConfig, SequentialConfig, Son, SonConfig, Support,
+    Yafim, YafimConfig,
 };
 use yafim_data::{to_lines, PaperDataset};
 use yafim_rdd::Context;
@@ -47,7 +49,7 @@ fn yafim_results_survive_any_below_budget_plan() {
     let healthy = cluster();
     healthy.hdfs().put_overwrite("d.dat", to_lines(&tx));
     let baseline = Yafim::new(Context::new(healthy), YafimConfig::new(support))
-        .mine("d.dat")
+        .try_mine("d.dat")
         .expect("written");
     assert_eq!(reference, baseline.result);
 
@@ -56,7 +58,7 @@ fn yafim_results_survive_any_below_budget_plan() {
         c.hdfs().put_overwrite("d.dat", to_lines(&tx));
         c.faults().set_plan(plan(seed));
         let run = Yafim::new(Context::new(c.clone()), YafimConfig::new(support))
-            .mine("d.dat")
+            .try_mine("d.dat")
             .expect("below-budget faults must not abort the job");
         assert_eq!(
             reference, run.result,
@@ -121,7 +123,7 @@ fn chaos_runs_are_reproducible() {
         c.hdfs().put_overwrite("d.dat", to_lines(&tx));
         c.faults().set_plan(plan(1));
         let run = Yafim::new(Context::new(c.clone()), YafimConfig::new(support))
-            .mine("d.dat")
+            .try_mine("d.dat")
             .expect("below budget");
         let snap = c.metrics().snapshot();
         reports.push((run.result, run.total_seconds, snap.recovery));
@@ -156,7 +158,7 @@ fn transient_and_heartbeat_faults_are_invisible_to_results() {
                 ),
         );
         let run = Yafim::new(Context::new(c.clone()), YafimConfig::new(support))
-            .mine("d.dat")
+            .try_mine("d.dat")
             .expect("transients and one loss stay below the retry budget");
         assert_eq!(
             reference, run.result,
@@ -192,7 +194,7 @@ fn transient_chaos_runs_are_reproducible() {
                 .with_checkpoint_interval(2),
         );
         let run = Yafim::new(Context::new(c.clone()), YafimConfig::bitmap(support))
-            .mine("d.dat")
+            .try_mine("d.dat")
             .expect("transients never abort");
         reports.push((
             run.result,
@@ -207,26 +209,20 @@ fn transient_chaos_runs_are_reproducible() {
 }
 
 #[test]
-fn mr_exceeding_retry_budget_aborts_descriptively() {
+fn exceeding_retry_budget_aborts_descriptively_on_every_engine() {
     let (tx, support) = dataset();
-    let c = cluster();
-    c.hdfs().put_overwrite("d.dat", to_lines(&tx));
-    c.faults().set_plan(FaultPlan::seeded(5).crash_tasks(1.0));
-    let err = MrApriori::new(c, MrAprioriConfig::new(support))
-        .mine("d.dat")
-        .expect_err("every attempt crashes");
-    let msg = err.to_string();
-    assert!(msg.contains("max_task_failures"), "got: {msg}");
-    assert!(msg.contains("aborted"), "got: {msg}");
-}
-
-#[test]
-#[should_panic(expected = "max_task_failures")]
-fn yafim_exceeding_retry_budget_panics_descriptively() {
-    let (tx, support) = dataset();
-    let c = cluster();
-    c.hdfs().put_overwrite("d.dat", to_lines(&tx));
-    c.faults().set_plan(FaultPlan::seeded(5).crash_tasks(1.0));
-    // The RDD actions' panicking variants surface the abort message.
-    let _ = Yafim::new(Context::new(c), YafimConfig::new(support)).mine("d.dat");
+    for engine in ["YAFIM", "MR", "SON", "PFP"] {
+        let c = cluster();
+        c.hdfs().put_overwrite("d.dat", to_lines(&tx));
+        c.faults().set_plan(FaultPlan::seeded(5).crash_tasks(1.0));
+        let outcome = match engine {
+            "YAFIM" => Yafim::new(Context::new(c), YafimConfig::new(support)).try_mine("d.dat"),
+            "MR" => MrApriori::new(c, MrAprioriConfig::new(support)).mine("d.dat"),
+            "SON" => Son::new(c, SonConfig::new(support)).mine("d.dat"),
+            _ => Pfp::new(Context::new(c), PfpConfig::new(support)).mine("d.dat"),
+        };
+        let msg = outcome.expect_err("every attempt crashes").to_string();
+        assert!(msg.contains("max_task_failures"), "{engine}: got: {msg}");
+        assert!(msg.contains("aborted"), "{engine}: got: {msg}");
+    }
 }

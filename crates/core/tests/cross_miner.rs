@@ -28,7 +28,7 @@ fn check_all_miners(name: &str, transactions: &[Vec<u32>], support: Support) {
     assert_eq!(reference, f, "{name}: fp-growth diverges");
 
     let ctx = Context::new(cluster());
-    let y = mine_in_memory(&ctx, transactions, YafimConfig::new(support));
+    let y = mine_in_memory(&ctx, transactions, YafimConfig::new(support)).expect("fault-free run");
     assert_eq!(reference, y.result, "{name}: yafim diverges");
 
     let c = cluster();

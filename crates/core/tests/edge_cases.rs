@@ -4,9 +4,11 @@
 
 use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
 use yafim_core::{
-    apriori, eclat, fp_growth, generate_rules, mine_in_memory, Itemset, MiningResult, RuleConfig,
-    SequentialConfig, Support, YafimConfig,
+    apriori, eclat, fp_growth, generate_rules, mine_in_memory, Itemset, MiningResult, MrApriori,
+    MrAprioriConfig, Pfp, PfpConfig, RuleConfig, SequentialConfig, Son, SonConfig, Support, Yafim,
+    YafimConfig,
 };
+use yafim_data::{from_lines, to_lines, PaperDataset};
 use yafim_rdd::Context;
 
 fn all_single_node(tx: &[Vec<u32>], support: Support) -> Vec<(&'static str, MiningResult)> {
@@ -27,7 +29,7 @@ fn assert_all_agree(tx: &[Vec<u32>], support: Support) -> MiningResult {
         CostModel::hadoop_era(),
         2,
     ));
-    let y = mine_in_memory(&ctx, tx, YafimConfig::new(support));
+    let y = mine_in_memory(&ctx, tx, YafimConfig::new(support)).expect("fault-free run");
     assert_eq!(results[0].1, y.result, "yafim diverges");
     results.into_iter().next().expect("non-empty").1
 }
@@ -115,23 +117,55 @@ fn rules_on_degenerate_results() {
 
 #[test]
 fn unparseable_lines_are_skipped_gracefully() {
-    let ctx = Context::new(SimCluster::with_threads(
-        ClusterSpec::new(2, 2, 1 << 30),
-        CostModel::hadoop_era(),
-        2,
-    ));
-    ctx.cluster().hdfs().put_overwrite(
-        "noisy.dat",
-        vec![
-            "1 2 3".to_string(),
-            "not a transaction".to_string(),
-            "".to_string(),
-            "2 3".to_string(),
-        ],
+    // One line is one transaction in every engine: a blank or garbage line
+    // is an empty transaction that still counts toward |D|, so a fractional
+    // support resolves to the same count on every engine.
+    let mut lines = Vec::new();
+    let dataset = PaperDataset::Mushroom.generate_scaled(0.025);
+    for (i, line) in to_lines(&dataset).into_iter().enumerate() {
+        lines.push(line);
+        if i < 142 {
+            lines.push(if i % 2 == 0 { "" } else { "x y z" }.to_string());
+        }
+    }
+    let support = Support::Fraction(0.15);
+    let tx = from_lines(&lines);
+    assert_eq!(tx.len(), lines.len(), "|D| is the line count");
+    let reference = apriori(&tx, &SequentialConfig::new(support));
+    assert!(
+        reference.max_len() >= 3,
+        "the threshold must leave a real search"
     );
-    let run = yafim_core::Yafim::new(ctx, YafimConfig::new(Support::Count(2)))
-        .mine("noisy.dat")
-        .expect("written");
-    // Two parseable transactions share {2,3}; noise lines contribute nothing.
-    assert_eq!(run.result.support_of(&Itemset::new(vec![2, 3])), Some(2));
+
+    let cluster = || {
+        let c =
+            SimCluster::with_threads(ClusterSpec::new(2, 2, 1 << 30), CostModel::hadoop_era(), 2);
+        c.hdfs().put_overwrite("noisy.dat", lines.clone());
+        c
+    };
+    let mine_yafim = |config| Yafim::new(Context::new(cluster()), config).try_mine("noisy.dat");
+    let runs = [
+        ("yafim paper", mine_yafim(YafimConfig::new(support))),
+        ("yafim bitmap", mine_yafim(YafimConfig::bitmap(support))),
+        (
+            "mr-apriori",
+            MrApriori::new(cluster(), MrAprioriConfig::new(support)).mine("noisy.dat"),
+        ),
+        (
+            "son",
+            Son::new(cluster(), SonConfig::new(support)).mine("noisy.dat"),
+        ),
+        (
+            "pfp",
+            Pfp::new(Context::new(cluster()), PfpConfig::new(support)).mine("noisy.dat"),
+        ),
+    ];
+    let mut results = vec![
+        ("eclat", eclat(&tx, support)),
+        ("fp_growth", fp_growth(&tx, support)),
+    ];
+    results.extend(runs.map(|(name, run)| (name, run.expect("written").result)));
+    for (name, result) in results {
+        assert_eq!(reference, result, "{name} diverges on noisy input");
+    }
 }

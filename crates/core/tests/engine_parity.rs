@@ -36,7 +36,7 @@ fn yafim_invariant_to_partition_count() {
         let mut cfg = YafimConfig::new(support);
         cfg.min_partitions = partitions;
         let run = Yafim::new(Context::new(c), cfg)
-            .mine("d.dat")
+            .try_mine("d.dat")
             .expect("written");
         assert_eq!(reference, run.result, "partitions = {partitions}");
     }
@@ -50,7 +50,7 @@ fn yafim_invariant_to_cluster_shape() {
         let c = cluster(nodes, cores);
         c.hdfs().put_overwrite("d.dat", to_lines(&tx));
         let run = Yafim::new(Context::new(c), YafimConfig::new(support))
-            .mine("d.dat")
+            .try_mine("d.dat")
             .expect("written");
         assert_eq!(reference, run.result, "cluster {nodes}x{cores}");
     }
@@ -66,7 +66,7 @@ fn yafim_invariant_to_broadcast_mode() {
         let mut cfg = RddConfig::for_cluster(&c);
         cfg.broadcast = mode;
         let run = Yafim::new(Context::with_config(c, cfg), YafimConfig::new(support))
-            .mine("d.dat")
+            .try_mine("d.dat")
             .expect("written");
         results.push(run);
     }

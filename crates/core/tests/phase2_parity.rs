@@ -34,7 +34,7 @@ fn run(tx: &[Vec<u32>], support: Support, phase2: Phase2Config) -> MinerRun {
         ..YafimConfig::new(support)
     };
     Yafim::new(Context::new(c), cfg)
-        .mine("d.dat")
+        .try_mine("d.dat")
         .expect("written")
 }
 
@@ -171,7 +171,7 @@ fn trimmed_tree_path_survives_node_loss() {
             ..YafimConfig::new(support)
         };
         let opt = Yafim::new(Context::new(c.clone()), cfg)
-            .mine("d.dat")
+            .try_mine("d.dat")
             .expect("below-budget faults must not abort the job");
         assert_eq!(
             reference, opt.result,
@@ -230,7 +230,7 @@ fn node_loss_at_every_pass_boundary_is_invisible() {
                     ..YafimConfig::new(support)
                 };
                 let r = Yafim::new(Context::new(c.clone()), cfg)
-                    .mine("d.dat")
+                    .try_mine("d.dat")
                     .expect("single node loss stays below the retry budget");
                 assert_eq!(
                     reference,
@@ -281,7 +281,7 @@ fn silent_corruption_is_invisible_to_every_engine() {
                 ..YafimConfig::new(support)
             };
             let r = Yafim::new(Context::new(c.clone()), cfg)
-                .mine("d.dat")
+                .try_mine("d.dat")
                 .expect("repairable corruption must not abort the job");
             assert_eq!(
                 reference, r.result,
@@ -319,7 +319,7 @@ fn bitmap_path_is_deterministic_under_faults() {
                 .with_speculation(),
         );
         let run = Yafim::new(Context::new(c.clone()), YafimConfig::bitmap(support))
-            .mine("d.dat")
+            .try_mine("d.dat")
             .expect("below budget");
         observed.push((
             run.result,

@@ -27,24 +27,28 @@ pub fn to_lines(transactions: &[Transaction]) -> Vec<String> {
         .collect()
 }
 
-/// Parse `.dat` lines back into transactions (sorting and deduplicating;
-/// blank lines are skipped, unparseable tokens ignored).
+/// Parse one `.dat` line into a transaction: whitespace-separated decimal
+/// item ids, sorted and deduplicated. Unparseable tokens are skipped, so a
+/// blank or garbage line is an empty transaction. Every engine reads its
+/// input through this tokenizer: one line is one transaction, and |D| (the
+/// count a fractional support resolves against) is the line count.
+pub fn parse_transaction(line: &str) -> Transaction {
+    let mut items: Vec<Item> = line
+        .split_whitespace()
+        .filter_map(|t| t.parse().ok())
+        .collect();
+    items.sort_unstable();
+    items.dedup();
+    items
+}
+
+/// Parse `.dat` lines back into transactions, one per line (see
+/// [`parse_transaction`]): blank and unparseable lines become empty
+/// transactions, so |D| is `lines.len()`.
 pub fn from_lines<S: AsRef<str>>(lines: &[S]) -> Vec<Transaction> {
     lines
         .iter()
-        .filter_map(|l| {
-            let mut items: Vec<Item> = l
-                .as_ref()
-                .split_whitespace()
-                .filter_map(|t| t.parse().ok())
-                .collect();
-            if items.is_empty() {
-                return None;
-            }
-            items.sort_unstable();
-            items.dedup();
-            Some(items)
-        })
+        .map(|l| parse_transaction(l.as_ref()))
         .collect()
 }
 
@@ -91,9 +95,21 @@ mod tests {
     }
 
     #[test]
+    fn parse_transaction_handles_noise() {
+        assert_eq!(parse_transaction("5 3 3 1"), vec![1, 3, 5]);
+        assert_eq!(parse_transaction("  7  "), vec![7]);
+        assert_eq!(parse_transaction(""), Vec::<Item>::new());
+        assert_eq!(parse_transaction("2 x 4"), vec![2, 4]);
+    }
+
+    #[test]
     fn from_lines_cleans_input() {
-        let lines = vec!["5 3 3 1", "", "  ", "x 2"];
-        assert_eq!(from_lines(&lines), vec![vec![1, 3, 5], vec![2]]);
+        let lines = vec!["5 3 3 1", "", "  ", "x 2", "x y z"];
+        let empty = Vec::new();
+        assert_eq!(
+            from_lines(&lines),
+            vec![vec![1, 3, 5], empty.clone(), empty.clone(), vec![2], empty]
+        );
     }
 
     #[test]

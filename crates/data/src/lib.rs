@@ -34,7 +34,7 @@ pub mod quest;
 pub mod rng;
 
 pub use dense::{DenseConfig, DenseGenerator};
-pub use io::{from_lines, read_dat, replicate, to_lines, write_dat};
+pub use io::{from_lines, parse_transaction, read_dat, replicate, to_lines, write_dat};
 pub use medical::{MedicalConfig, MedicalGenerator};
 pub use profiles::{DatasetProfile, PaperDataset};
 pub use quest::{QuestConfig, QuestGenerator};

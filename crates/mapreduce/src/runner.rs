@@ -6,67 +6,10 @@ use crate::job::{MapReduceJob, MrKey, MrValue};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use yafim_cluster::{
-    bucket_of, fx_hash64, memgov, slice_bytes, DetailedSchedule, DfsError, DfsFile, EventKind,
-    FaultError, IntegrityCounters, IntegrityTier, MemoryRefusal, RecoveryCounters, SimCluster,
-    SimDuration, StageExecution, TaskExecution, TaskMemory, TaskProfile, TaskSpec, WorkCounters,
-    SPILL_GRANULE,
+    bucket_of, fx_hash64, memgov, slice_bytes, DetailedSchedule, DfsFile, EventKind, ExecError,
+    IntegrityCounters, IntegrityTier, RecoveryCounters, SimCluster, SimDuration, StageExecution,
+    TaskExecution, TaskMemory, TaskProfile, TaskSpec, WorkCounters, SPILL_GRANULE,
 };
-
-/// Why a MapReduce job failed: the input is missing, or the active fault
-/// plan exhausted some task's retry budget.
-#[derive(Clone, Debug)]
-pub enum MrError {
-    /// HDFS input/output error.
-    Dfs(DfsError),
-    /// A task wave aborted under the active fault plan.
-    Fault {
-        /// The wave that aborted (`"<job>: map"` or `"<job>: reduce"`).
-        stage: String,
-        /// The underlying scheduler failure.
-        source: FaultError,
-    },
-    /// Every replica of some input split failed checksum verification:
-    /// there is no clean copy to read, and returning anything would mean
-    /// returning wrong results.
-    Integrity {
-        /// Human-readable description of the poisoned data.
-        detail: String,
-    },
-    /// The memory governor's admission control refused the job before
-    /// running it: its smallest viable per-task footprint cannot fit the
-    /// execution budget even with full borrowing from storage.
-    MemoryRefused {
-        /// Required vs available bytes per task.
-        refusal: MemoryRefusal,
-    },
-}
-
-impl std::fmt::Display for MrError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MrError::Dfs(e) => write!(f, "{e}"),
-            MrError::Fault { stage, source } => write!(f, "stage `{stage}` aborted: {source}"),
-            MrError::Integrity { detail } => write!(f, "data integrity failure: {detail}"),
-            MrError::MemoryRefused { refusal } => write!(f, "{refusal}"),
-        }
-    }
-}
-
-impl std::error::Error for MrError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MrError::Dfs(e) => Some(e),
-            MrError::Fault { source, .. } => Some(source),
-            MrError::Integrity { .. } | MrError::MemoryRefused { .. } => None,
-        }
-    }
-}
-
-impl From<DfsError> for MrError {
-    fn from(e: DfsError) -> Self {
-        MrError::Dfs(e)
-    }
-}
 
 /// Aggregate facts about one executed job.
 #[derive(Clone, Copy, Debug, Default)]
@@ -123,7 +66,7 @@ impl MrRunner {
         label: &str,
         specs: &[TaskSpec],
         retry_extra: Option<&[SimDuration]>,
-    ) -> Result<(DetailedSchedule, RecoveryCounters, SimDuration, SimDuration), MrError> {
+    ) -> Result<(DetailedSchedule, RecoveryCounters, SimDuration, SimDuration), ExecError> {
         let (queue, scheduler) = self.cluster.stage_admission();
         let faults = self.cluster.faults();
         if faults.active() {
@@ -134,7 +77,7 @@ impl MrRunner {
                     retry_extra,
                     self.cluster.metrics().now() + queue,
                 )
-                .map_err(|source| MrError::Fault {
+                .map_err(|source| ExecError::StageAborted {
                     stage: label.to_string(),
                     source,
                 })?;
@@ -166,7 +109,7 @@ impl MrRunner {
     pub fn run<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue>(
         &self,
         job: MapReduceJob<KM, VM, KO, VO>,
-    ) -> Result<MrJobResult<KO, VO>, MrError> {
+    ) -> Result<MrJobResult<KO, VO>, ExecError> {
         let cluster = &self.cluster;
         let cost = cluster.cost().clone();
         let spec = cluster.spec().clone();
@@ -180,7 +123,7 @@ impl MrRunner {
         // in OOM kills: refuse it up front with a typed error.
         if let Some(budget) = cluster.memory_budget() {
             if let Err(refusal) = budget.admit(SPILL_GRANULE) {
-                return Err(MrError::MemoryRefused { refusal });
+                return Err(ExecError::MemoryRefused { refusal });
             }
         }
 
@@ -236,7 +179,7 @@ impl MrRunner {
         if integrity {
             for (i, &copies) in split_replicas.iter().enumerate() {
                 if (0..copies).all(|c| faults.corrupted(IntegrityTier::Hdfs, integrity_id, i, c)) {
-                    return Err(MrError::Integrity {
+                    return Err(ExecError::IntegrityFailure {
                         detail: format!(
                             "input `{}` split {i}: all {copies} replicas failed checksum \
                              verification — no clean copy reachable",

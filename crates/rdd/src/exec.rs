@@ -29,90 +29,9 @@ use crate::shuffle::ShuffleStage;
 use crate::task::TaskContext;
 use std::sync::Arc;
 use yafim_cluster::{
-    fx_hash64, memgov, slice_bytes, EventKind, FaultError, MemoryRefusal, NodeId, RecoveryCounters,
-    SimDuration, StageExecution, TaskExecution, TaskProfile, TaskSpec,
+    fx_hash64, slice_bytes, EventKind, ExecError, NodeId, RecoveryCounters, SimDuration,
+    StageExecution, TaskExecution, TaskProfile, TaskSpec,
 };
-
-/// A job could not complete under the active fault plan.
-#[derive(Clone, Debug)]
-pub enum ExecError {
-    /// A stage aborted: some task exhausted its retry budget or no healthy
-    /// node was left to run it.
-    StageAborted {
-        /// Label of the stage that aborted.
-        stage: String,
-        /// The underlying scheduler failure.
-        source: FaultError,
-    },
-    /// A corrupted block could not be repaired: every replica is poisoned
-    /// and lineage was truncated, so no clean copy is reachable. The engine
-    /// refuses to return possibly-wrong results.
-    IntegrityFailure {
-        /// What was corrupted and why it is unrepairable.
-        detail: String,
-    },
-    /// A task exhausted its OOM retry ladder: even the whole-node memory
-    /// slice (each retry doubles the grant, modelling reduced concurrency)
-    /// could not satisfy an acquisition. The job is killed rather than
-    /// returning a partial result.
-    OutOfMemory {
-        /// Label of the stage whose task died.
-        stage: String,
-        /// Partition whose task exhausted its retries.
-        partition: usize,
-        /// Acquisition site that overflowed (see
-        /// [`yafim_cluster::memgov::site`]).
-        site: u64,
-        /// Bytes the failing acquisition asked for.
-        bytes: u64,
-        /// Attempts consumed (first run plus retries).
-        attempts: u32,
-    },
-    /// Driver-side admission control refused the job before running it:
-    /// its smallest viable per-task footprint cannot fit the execution
-    /// budget even with full borrowing from storage.
-    MemoryRefused {
-        /// Required vs available bytes per task.
-        refusal: MemoryRefusal,
-    },
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::StageAborted { stage, source } => {
-                write!(f, "stage `{stage}` aborted: {source}")
-            }
-            ExecError::IntegrityFailure { detail } => {
-                write!(f, "data integrity failure: {detail}")
-            }
-            ExecError::OutOfMemory {
-                stage,
-                partition,
-                site,
-                bytes,
-                attempts,
-            } => write!(
-                f,
-                "stage `{stage}` out of memory: partition {partition} could not \
-                 acquire {bytes} bytes for its {} after {attempts} attempts",
-                memgov::site::name(*site)
-            ),
-            ExecError::MemoryRefused { refusal } => write!(f, "{refusal}"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ExecError::StageAborted { source, .. } => Some(source),
-            ExecError::IntegrityFailure { .. }
-            | ExecError::OutOfMemory { .. }
-            | ExecError::MemoryRefused { .. } => None,
-        }
-    }
-}
 
 /// What one node loss took with it (returned by
 /// [`FaultInjection::lose_node`]).
@@ -602,7 +521,7 @@ pub(crate) fn try_collect<T: Data>(rdd: &Rdd<T>) -> Result<Vec<T>, ExecError> {
         // Losses that triggered during the final stage surface inside this
         // job rather than lingering until the next action.
         sync_node_losses(ctx);
-        Ok(parts)
+        Ok::<_, ExecError>(parts)
     })();
     metrics.end_job(job);
 
@@ -691,7 +610,7 @@ pub(crate) fn try_count<T: Data>(rdd: &Rdd<T>) -> Result<u64, ExecError> {
         prepare_shuffles(ctx, &rdd.imp)?;
         let lens = run_count_stage(rdd, format!("count rdd{}", rdd.id()))?;
         sync_node_losses(ctx);
-        Ok(lens)
+        Ok::<_, ExecError>(lens)
     })();
     metrics.end_job(job);
 

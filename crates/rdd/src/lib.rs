@@ -56,9 +56,10 @@ mod task;
 
 pub use cache::{CacheManager, CacheStats, CacheTier, StorageLevel};
 pub use context::{Broadcast, BroadcastMode, Context, ExecMode, RddConfig};
-pub use exec::{ExecError, FaultInjection, NodeLossReport};
+pub use exec::{FaultInjection, NodeLossReport};
 pub use rdd::{Data, Rdd};
 pub use task::TaskContext;
+pub use yafim_cluster::ExecError;
 
 #[cfg(test)]
 mod tests {

@@ -43,8 +43,8 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use yafim_cluster::{
-    slice_bytes, ByteSize, DfsFile, IntegrityCounters, IntegrityTier, NodeId, RecoveryCounters,
-    Split, TransientKind,
+    slice_bytes, ByteSize, DfsFile, ExecError, IntegrityCounters, IntegrityTier, NodeId,
+    RecoveryCounters, Split, TransientKind,
 };
 
 // Persistence state encoding for `RddMeta::persist_level`.
@@ -312,9 +312,9 @@ pub(crate) trait RddImpl<T: Data>: Send + Sync + 'static {
     /// operators delegate to their parents. When every replica of a
     /// partition is poisoned and the lineage was truncated there is nothing
     /// left to replay — the job must fail typed
-    /// ([`crate::exec::ExecError::IntegrityFailure`]) rather than ever
+    /// ([`ExecError::IntegrityFailure`]) rather than ever
     /// return wrong results. Driver-resident sources have nothing to check.
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), ExecError> {
         Ok(())
     }
 }
@@ -489,7 +489,7 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Fallible [`Rdd::checkpoint`]; see [`Rdd::try_collect`].
-    pub fn try_checkpoint(&self) -> Result<Rdd<T>, crate::exec::ExecError> {
+    pub fn try_checkpoint(&self) -> Result<Rdd<T>, ExecError> {
         exec::try_checkpoint(self)
     }
 
@@ -573,7 +573,7 @@ impl<T: Data> Rdd<T> {
 
     /// Fallible `collect`: a job can abort when an active
     /// [`yafim_cluster::FaultPlan`] exhausts a task's retry budget.
-    pub fn try_collect(&self) -> Result<Vec<T>, crate::exec::ExecError> {
+    pub fn try_collect(&self) -> Result<Vec<T>, ExecError> {
         exec::try_collect(self)
     }
 
@@ -586,7 +586,7 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Fallible `count`; see [`Rdd::try_collect`].
-    pub fn try_count(&self) -> Result<u64, crate::exec::ExecError> {
+    pub fn try_count(&self) -> Result<u64, ExecError> {
         exec::try_count(self)
     }
 
@@ -603,7 +603,7 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Fallible `take`; see [`Rdd::try_collect`].
-    pub fn try_take(&self, n: usize) -> Result<Vec<T>, crate::exec::ExecError> {
+    pub fn try_take(&self, n: usize) -> Result<Vec<T>, ExecError> {
         exec::try_take(self, n)
     }
 }
@@ -785,7 +785,7 @@ impl RddImpl<String> for HdfsTextRdd {
 
     fn collect_shuffle_deps(&self, _out: &mut Vec<Arc<dyn ShuffleStage>>) {}
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), ExecError> {
         let faults = self.meta.ctx.cluster().faults();
         if !faults.integrity_active() {
             return Ok(());
@@ -795,7 +795,7 @@ impl RddImpl<String> for HdfsTextRdd {
             let all_rotten = (0..replicas)
                 .all(|copy| faults.corrupted(IntegrityTier::Hdfs, self.meta.id, part, copy));
             if all_rotten {
-                return Err(crate::exec::ExecError::IntegrityFailure {
+                return Err(ExecError::IntegrityFailure {
                     detail: format!(
                         "hdfs file `{}` rdd{} split {part}: all {replicas} replicas failed \
                          checksum verification — no clean copy reachable",
@@ -913,7 +913,7 @@ impl<T: Data> RddImpl<T> for CheckpointRdd<T> {
 
     fn collect_shuffle_deps(&self, _out: &mut Vec<Arc<dyn ShuffleStage>>) {}
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), ExecError> {
         let faults = self.meta.ctx.cluster().faults();
         if !faults.integrity_active() {
             return Ok(());
@@ -930,7 +930,7 @@ impl<T: Data> RddImpl<T> for CheckpointRdd<T> {
             let all_rotten = (0..replicas)
                 .all(|copy| faults.corrupted(IntegrityTier::Hdfs, self.meta.id, part, copy));
             if all_rotten {
-                return Err(crate::exec::ExecError::IntegrityFailure {
+                return Err(ExecError::IntegrityFailure {
                     detail: format!(
                         "checkpoint rdd{} partition {part}: all {replicas} replicas failed \
                          checksum verification and lineage was truncated — nothing left to \
@@ -981,7 +981,7 @@ impl<P: Data, T: Data> RddImpl<T> for MapRdd<P, T> {
         self.parent.lineage_len() + 1
     }
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), ExecError> {
         self.parent.preflight()
     }
 }
@@ -1026,7 +1026,7 @@ impl<P: Data, T: Data> RddImpl<T> for FlatMapRdd<P, T> {
         self.parent.lineage_len() + 1
     }
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), ExecError> {
         self.parent.preflight()
     }
 }
@@ -1068,7 +1068,7 @@ impl<T: Data> RddImpl<T> for FilterRdd<T> {
         self.parent.lineage_len() + 1
     }
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), ExecError> {
         self.parent.preflight()
     }
 }
@@ -1115,7 +1115,7 @@ impl<P: Data, T: Data> RddImpl<T> for MapPartitionsRdd<P, T> {
         self.parent.lineage_len() + 1
     }
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), ExecError> {
         self.parent.preflight()
     }
 }
@@ -1176,7 +1176,7 @@ impl<T: Data> RddImpl<T> for UnionRdd<T> {
             + 1
     }
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), ExecError> {
         for p in &self.parents {
             p.preflight()?;
         }

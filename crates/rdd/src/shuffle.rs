@@ -22,7 +22,7 @@
 //! materialized in a single healthy run.
 
 use crate::context::Context;
-use crate::exec::{self, ExecError};
+use crate::exec;
 use crate::rdd::{materialize, Data, Pipe, RddImpl, RddMeta};
 use crate::task::TaskContext;
 use std::any::Any;
@@ -31,7 +31,7 @@ use std::hash::Hash;
 use std::sync::{Arc, Weak};
 use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
-    bucket_of, fx_hash64, memgov, slice_bytes, EventKind, FxHashMap, IntegrityCounters,
+    bucket_of, fx_hash64, memgov, slice_bytes, EventKind, ExecError, FxHashMap, IntegrityCounters,
     IntegrityTier, NodeId, RecoveryCounters, TransientKind,
 };
 

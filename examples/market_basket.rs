@@ -23,7 +23,7 @@ fn main() {
         .put_overwrite("retail.dat", to_lines(&transactions));
     let ctx = Context::new(spark_cluster);
     let yafim = Yafim::new(ctx, YafimConfig::new(support))
-        .mine("retail.dat")
+        .try_mine("retail.dat")
         .expect("dataset written");
 
     // --- MR-Apriori on the Hadoop-style engine ---

@@ -30,7 +30,7 @@ fn main() {
         .hdfs()
         .put_overwrite("cases.dat", to_lines(&cases));
     let yafim = Yafim::new(Context::new(spark_cluster), YafimConfig::new(support))
-        .mine("cases.dat")
+        .try_mine("cases.dat")
         .expect("dataset written");
 
     let mr_cluster = SimCluster::paper_cluster();

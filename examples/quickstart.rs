@@ -34,7 +34,7 @@ fn main() {
     // 3. Mine with YAFIM at 1% minimum support.
     let ctx = Context::new(cluster);
     let run = Yafim::new(ctx, YafimConfig::new(Support::percent(1.0)))
-        .mine("baskets.dat")
+        .try_mine("baskets.dat")
         .expect("dataset was just written");
 
     // 4. Report.

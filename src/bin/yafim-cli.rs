@@ -18,7 +18,7 @@
 //! (distributed, on the simulated cluster — virtual timings are reported).
 
 use std::process::exit;
-use yafim::cluster::{ClusterSpec, CostModel, SimCluster};
+use yafim::cluster::{ClusterSpec, CostModel, ExecError, SimCluster};
 use yafim::data::{read_dat, to_lines, PaperDataset};
 use yafim::rdd::Context;
 use yafim::{
@@ -133,7 +133,7 @@ fn cluster() -> SimCluster {
 
 fn load_transactions(path: &str) -> Vec<Vec<u32>> {
     match read_dat(path) {
-        Ok(tx) if !tx.is_empty() => tx,
+        Ok(tx) if tx.iter().any(|t| !t.is_empty()) => tx,
         Ok(_) => {
             eprintln!("{path}: no transactions found");
             exit(1)
@@ -208,28 +208,35 @@ fn fault_plan() -> Option<yafim::cluster::FaultPlan> {
     }
 }
 
-fn run_distributed(miner: &str, tx: &[Vec<u32>], support: Support) -> (MinerRun, SimCluster) {
+/// Mine `tx` on a fresh simulated cluster with one of the distributed
+/// engines.
+fn run_distributed(
+    miner: &str,
+    tx: &[Vec<u32>],
+    support: Support,
+) -> Result<(MinerRun, SimCluster), ExecError> {
     let c = cluster();
     if let Some(plan) = fault_plan() {
         c.faults().set_plan(plan);
     }
     c.hdfs().put_overwrite("input.dat", to_lines(tx));
     let run = match miner {
-        "spark" => Yafim::new(Context::new(c.clone()), yafim_config(support))
-            .mine("input.dat")
-            .expect("input written"),
-        "mapreduce" => MrApriori::new(c.clone(), MrAprioriConfig::new(support))
-            .mine("input.dat")
-            .expect("input written"),
-        "son" => Son::new(c.clone(), SonConfig::new(support))
-            .mine("input.dat")
-            .expect("input written"),
-        "pfp" => Pfp::new(Context::new(c.clone()), PfpConfig::new(support))
-            .mine("input.dat")
-            .expect("input written"),
+        "spark" => Yafim::new(Context::new(c.clone()), yafim_config(support)).try_mine("input.dat"),
+        "mapreduce" => MrApriori::new(c.clone(), MrAprioriConfig::new(support)).mine("input.dat"),
+        "son" => Son::new(c.clone(), SonConfig::new(support)).mine("input.dat"),
+        "pfp" => Pfp::new(Context::new(c.clone()), PfpConfig::new(support)).mine("input.dat"),
         _ => unreachable!("checked by caller"),
     };
-    (run, c)
+    Ok((run?, c))
+}
+
+/// An engine failure (stage abort, integrity refusal, OOM kill, memory
+/// refusal) prints as one stderr line and exits 1.
+fn or_exit<T>(miner: &str, outcome: Result<T, ExecError>) -> T {
+    outcome.unwrap_or_else(|e| {
+        eprintln!("{miner}: {e}");
+        exit(1)
+    })
 }
 
 fn cmd_mine() {
@@ -244,7 +251,7 @@ fn cmd_mine() {
         "eclat" => (eclat(&tx, support), None, None),
         "fpgrowth" => (fp_growth(&tx, support), None, None),
         "spark" | "mapreduce" | "son" | "pfp" => {
-            let (run, c) = run_distributed(&miner, &tx, support);
+            let (run, c) = or_exit(&miner, run_distributed(&miner, &tx, support));
             (run.result, Some(run.total_seconds), Some(c))
         }
         other => {
@@ -370,7 +377,7 @@ fn cmd_compare() {
     println!("{:<12} {:>12} {:>10}", "miner", "virtual (s)", "itemsets");
     let mut reference = None;
     for miner in ["spark", "mapreduce", "son", "pfp"] {
-        let (run, _) = run_distributed(miner, &tx, support);
+        let (run, _) = or_exit(miner, run_distributed(miner, &tx, support));
         if let Some(r) = &reference {
             assert_eq!(r, &run.result, "{miner} diverges — please report a bug");
         }

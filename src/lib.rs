@@ -41,11 +41,12 @@
 //!     vec![1, 2, 3, 5],
 //!     vec![2, 5],
 //! ];
-//! let run = mine_in_memory(&ctx, &transactions, YafimConfig::new(Support::Count(2)));
+//! let run = mine_in_memory(&ctx, &transactions, YafimConfig::new(Support::Count(2)))?;
 //!
 //! assert_eq!(run.result.level_sizes(), vec![4, 4, 1]);
 //! println!("mined {} itemsets in {:.2} virtual seconds",
 //!          run.result.total(), run.total_seconds);
+//! # Ok::<(), yafim::rdd::ExecError>(())
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios and `crates/bench/src/bin/` for

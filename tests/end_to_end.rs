@@ -22,7 +22,7 @@ fn full_pipeline_yafim_vs_mr_on_generated_data() {
     let spark = small_cluster();
     spark.hdfs().put_overwrite("m.dat", to_lines(&tx));
     let yafim = Yafim::new(Context::new(spark.clone()), YafimConfig::new(support))
-        .mine("m.dat")
+        .try_mine("m.dat")
         .expect("written");
 
     let hadoop = small_cluster();
@@ -53,7 +53,7 @@ fn per_pass_events_reconstruct_fig3_series() {
         Context::new(cluster.clone()),
         YafimConfig::new(Support::Fraction(0.85)),
     )
-    .mine("c.dat")
+    .try_mine("c.dat")
     .expect("written");
 
     let events = cluster.metrics().events_of(EventKind::Iteration);
@@ -75,7 +75,7 @@ fn rules_from_distributed_mining_match_sequential_mining() {
     let cluster = small_cluster();
     cluster.hdfs().put_overwrite("med.dat", to_lines(&tx));
     let run = Yafim::new(Context::new(cluster), YafimConfig::new(support))
-        .mine("med.dat")
+        .try_mine("med.dat")
         .expect("written");
     let seq = apriori(&tx, &SequentialConfig::new(support));
 
@@ -112,7 +112,8 @@ fn facade_reexports_are_usable() {
         &ctx,
         &[vec![1, 2], vec![1, 2], vec![2, 3]],
         YafimConfig::new(Support::Count(2)),
-    );
+    )
+    .expect("fault-free run");
     assert_eq!(run.result.support_of(&Itemset::new(vec![1, 2])), Some(2));
 }
 
@@ -129,7 +130,7 @@ fn virtual_time_is_deterministic_across_runs() {
             Context::new(cluster),
             YafimConfig::new(Support::Fraction(0.35)),
         )
-        .mine("m.dat")
+        .try_mine("m.dat")
         .expect("written");
         totals.push((run.total_seconds, run.pass_seconds()));
     }
